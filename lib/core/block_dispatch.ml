@@ -1,4 +1,5 @@
 module Block = Dk_device.Block
+module Flight = Dk_obs.Flight
 
 (* Retry accounting: transient device errors absorbed (or not) by the
    dispatcher's bounded exponential backoff. *)
@@ -70,9 +71,14 @@ let rec attempt_op t ~resubmit ~attempt k =
     | `Io_error when attempt < t.max_retries -> retry_later ()
     | `Io_error ->
         Dk_obs.Metrics.incr m_gave_up;
-        Dk_obs.Flight.recordf Dk_obs.Flight.default
-          ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Drop
-          "block wr_id %d failed after %d retries" c.Block.wr_id attempt;
+        let f = Flight.default in
+        Flight.start f ~now:(Dk_sim.Engine.now t.engine) Flight.Drop;
+        Flight.add_string f "block wr_id ";
+        Flight.add_int f c.Block.wr_id;
+        Flight.add_string f " failed after ";
+        Flight.add_int f attempt;
+        Flight.add_string f " retries";
+        Flight.commit f;
         k c
     | `Ok | `Bad_lba ->
         if attempt > 0 then Dk_obs.Metrics.incr m_recovered;

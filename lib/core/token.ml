@@ -1,4 +1,5 @@
 module Dk_check = Dk_mem.Dk_check
+module Flight = Dk_obs.Flight
 
 (* A wait set is the readiness FIFO for one waiter: completions of
    registered tokens enqueue the token here, so the waiter learns about
@@ -68,8 +69,11 @@ let record_completion t tok =
   Dk_obs.Metrics.gauge_add g_outstanding (-1);
   match t.clock with
   | Some now ->
-      Dk_obs.Flight.recordf Dk_obs.Flight.default ~now:(now ())
-        Dk_obs.Flight.Completion "qtoken %d" tok
+      let f = Flight.default in
+      Flight.start f ~now:(now ()) Flight.Completion;
+      Flight.add_string f "qtoken ";
+      Flight.add_int f tok;
+      Flight.commit f
   | None -> ()
 
 let double_complete t tok =

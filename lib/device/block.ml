@@ -1,6 +1,7 @@
 type status = [ `Ok | `Bad_lba | `Io_error ]
 
 module Fault = Dk_fault.Fault
+module Flight = Dk_obs.Flight
 
 type completion = { wr_id : int; status : status; data : string option }
 
@@ -96,9 +97,14 @@ let complete t delay comp =
          Dk_obs.Metrics.gauge_add g_inflight (-1);
          let now = Dk_sim.Engine.now t.engine in
          Dk_obs.Metrics.observe h_latency (Int64.sub now submitted);
-         Dk_obs.Flight.recordf Dk_obs.Flight.default ~now
-           Dk_obs.Flight.Completion "block wr_id %d (%Ldns in queue)"
-           comp.wr_id (Int64.sub now submitted);
+         let f = Flight.default in
+         Flight.start f ~now Flight.Completion;
+         Flight.add_string f "block wr_id ";
+         Flight.add_int f comp.wr_id;
+         Flight.add_string f " (";
+         Flight.add_int f (Int64.to_int (Int64.sub now submitted));
+         Flight.add_string f "ns in queue)";
+         Flight.commit f;
          Queue.add comp t.cq;
          t.cq_notify ()))
 
@@ -106,9 +112,12 @@ let submit t make_completion latency =
   if t.inflight >= t.sq_depth then begin
     t.rejected <- t.rejected + 1;
     Dk_obs.Metrics.incr m_rejected;
-    Dk_obs.Flight.recordf Dk_obs.Flight.default
-      ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Drop
-      "block SQ full (%d in flight)" t.inflight;
+    let f = Flight.default in
+    Flight.start f ~now:(Dk_sim.Engine.now t.engine) Flight.Drop;
+    Flight.add_string f "block SQ full (";
+    Flight.add_int f t.inflight;
+    Flight.add_string f " in flight)";
+    Flight.commit f;
     false
   end
   else begin

@@ -1,6 +1,7 @@
 type stats = { delivered : int; lost : int; unrouted : int }
 
 module Fault = Dk_fault.Fault
+module Flight = Dk_obs.Flight
 
 (* Class-wide obs instruments (aggregated across fabrics). *)
 let m_delivered = Dk_obs.Metrics.counter "device.fabric.delivered"
@@ -103,8 +104,16 @@ let deliver t ~src ~dst ~departed nic frame =
       if t.loss > 0.0 && Dk_sim.Rng.bool t.rng t.loss then begin
         t.lost <- t.lost + 1;
         Dk_obs.Metrics.incr m_lost;
-        Dk_obs.Flight.recordf Dk_obs.Flight.default ~now Dk_obs.Flight.Drop
-          "fabric lost frame %x->%x (%dB)" src dst (String.length frame)
+        let f = Flight.default in
+        Flight.start f ~now Flight.Drop;
+        Flight.add_string f "fabric lost frame ";
+        Flight.add_hex f src;
+        Flight.add_string f "->";
+        Flight.add_hex f dst;
+        Flight.add_string f " (";
+        Flight.add_int f (String.length frame);
+        Flight.add_string f "B)";
+        Flight.commit f
       end
       else if Fault.fire t.fault Fault.Fabric_drop ~now then begin
         t.lost <- t.lost + 1;

@@ -12,6 +12,7 @@ type stats = {
 }
 
 module Fault = Dk_fault.Fault
+module Flight = Dk_obs.Flight
 
 (* Class-wide obs instruments (aggregated across NICs); the flight
    recorder entries carry the MAC to tell instances apart. *)
@@ -214,9 +215,14 @@ let tx_start t ~dst frame =
 let tx_ring_full t =
   t.tx_rejected <- t.tx_rejected + 1;
   Dk_obs.Metrics.incr m_tx_rejected;
-  Dk_obs.Flight.recordf Dk_obs.Flight.default
-    ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Drop
-    "nic %x tx ring full (%d in flight)" t.mac t.tx_inflight
+  let f = Flight.default in
+  Flight.start f ~now:(Dk_sim.Engine.now t.engine) Flight.Drop;
+  Flight.add_string f "nic ";
+  Flight.add_hex f t.mac;
+  Flight.add_string f " tx ring full (";
+  Flight.add_int f t.tx_inflight;
+  Flight.add_string f " in flight)";
+  Flight.commit f
 
 let transmit t ~dst frame =
   if t.tx_inflight >= t.tx_capacity then begin
@@ -270,18 +276,29 @@ let enqueue_rx t frame =
     Dk_obs.Metrics.incr m_rx_frames;
     Dk_obs.Metrics.add m_rx_bytes (String.length frame);
     Dk_obs.Metrics.gauge_add g_rx_pending 1;
-    Dk_obs.Flight.recordf Dk_obs.Flight.default
-      ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Enqueue
-      "nic %x rx %dB (ring %d)" t.mac (String.length frame)
-      (Dk_util.Bqueue.length t.rxq);
+    let f = Flight.default in
+    Flight.start f ~now:(Dk_sim.Engine.now t.engine) Flight.Enqueue;
+    Flight.add_string f "nic ";
+    Flight.add_hex f t.mac;
+    Flight.add_string f " rx ";
+    Flight.add_int f (String.length frame);
+    Flight.add_string f "B (ring ";
+    Flight.add_int f (Dk_util.Bqueue.length t.rxq);
+    Flight.add_string f ")";
+    Flight.commit f;
     t.rx_notify ()
   end
   else begin
     t.rx_dropped <- t.rx_dropped + 1;
     Dk_obs.Metrics.incr m_rx_dropped;
-    Dk_obs.Flight.recordf Dk_obs.Flight.default
-      ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Drop
-      "nic %x rx ring full, frame dropped (%dB)" t.mac (String.length frame)
+    let f = Flight.default in
+    Flight.start f ~now:(Dk_sim.Engine.now t.engine) Flight.Drop;
+    Flight.add_string f "nic ";
+    Flight.add_hex f t.mac;
+    Flight.add_string f " rx ring full, frame dropped (";
+    Flight.add_int f (String.length frame);
+    Flight.add_string f "B)";
+    Flight.commit f
   end
 
 (* Toplevel (not a local closure inside [receive]): the filter/map

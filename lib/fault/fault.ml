@@ -1,3 +1,5 @@
+module Flight = Dk_obs.Flight
+
 type site =
   | Nic_rx_drop
   | Nic_tx_drop
@@ -228,8 +230,14 @@ let fire t site ~now =
         if hit then begin
           a.shots <- a.shots + 1;
           Dk_obs.Metrics.incr all_counters.(site_index site);
-          Dk_obs.Flight.recordf Dk_obs.Flight.default ~now Dk_obs.Flight.Drop
-            "fault injected: %s (#%d)" (site_name site) a.shots
+          let f = Flight.default in
+          Flight.start f ~now Flight.Drop;
+          Flight.add_string f "fault injected: ";
+          Flight.add_string f (site_name site);
+          Flight.add_string f " (#";
+          Flight.add_int f a.shots;
+          Flight.add_string f ")";
+          Flight.commit f
         end;
         hit
       end

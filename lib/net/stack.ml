@@ -1,3 +1,5 @@
+module Flight = Dk_obs.Flight
+
 type stats = {
   frames_in : int;
   frames_out : int;
@@ -80,9 +82,13 @@ let decode_error t msg =
   Dk_obs.Metrics.incr m_decode_errors;
   if mentions_checksum msg then begin
     Dk_obs.Metrics.incr m_checksum_failures;
-    Dk_obs.Flight.recordf Dk_obs.Flight.default
-      ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Drop "stack %x: %s"
-      t.ip msg
+    let f = Flight.default in
+    Flight.start f ~now:(Dk_sim.Engine.now t.engine) Flight.Drop;
+    Flight.add_string f "stack ";
+    Flight.add_hex f t.ip;
+    Flight.add_string f ": ";
+    Flight.add_string f msg;
+    Flight.commit f
   end
 
 (* ---- transmit path ---- *)
@@ -129,10 +135,16 @@ let with_mac t dst_ip k =
             if n = 0 then begin
               let dropped = Arp.Table.drop_pending t.arp dst_ip in
               Dk_obs.Metrics.incr m_arp_abandoned;
-              Dk_obs.Flight.recordf Dk_obs.Flight.default
-                ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Drop
-                "arp gave up on %x after %d tries (%d queued sends dropped)"
-                dst_ip arp_max_attempts dropped
+              let f = Flight.default in
+              Flight.start f ~now:(Dk_sim.Engine.now t.engine) Flight.Drop;
+              Flight.add_string f "arp gave up on ";
+              Flight.add_hex f dst_ip;
+              Flight.add_string f " after ";
+              Flight.add_int f arp_max_attempts;
+              Flight.add_string f " tries (";
+              Flight.add_int f dropped;
+              Flight.add_string f " queued sends dropped)";
+              Flight.commit f
             end
             else begin
               send_arp_request t dst_ip;

@@ -1,3 +1,5 @@
+module Flight = Dk_obs.Flight
+
 type state =
   | Closed
   | Listen
@@ -211,6 +213,17 @@ let unsent t =
   let ring_unsent = Dk_util.Ring.length t.send_ring - unacked t in
   max 0 ring_unsent
 
+(* Open a flight entry labelled "tcp <local>-><remote>" and return the
+   recorder; the caller appends the rest of the label and commits. *)
+let start_conn_entry t kind =
+  let f = Flight.default in
+  Flight.start f ~now:(Dk_sim.Engine.now t.engine) kind;
+  Flight.add_string f "tcp ";
+  Flight.add_int f t.local.Addr.port;
+  Flight.add_string f "->";
+  Flight.add_int f t.remote.Addr.port;
+  f
+
 let rec arm_rtx t =
   cancel_rtx t;
   if unacked t > 0 || (t.fin_sent && seq_lt t.snd_una t.snd_nxt) then
@@ -224,21 +237,27 @@ and on_rto t =
   Dk_obs.Metrics.incr m_rto_fired;
   if t.retries >= t.config.max_retries then begin
     Dk_obs.Metrics.incr m_conn_timeouts;
-    Dk_obs.Flight.recordf Dk_obs.Flight.default
-      ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Drop
-      "tcp %d->%d gave up after %d retries" t.local.Addr.port
-      t.remote.Addr.port t.retries;
+    let f = start_conn_entry t Flight.Drop in
+    Flight.add_string f " gave up after ";
+    Flight.add_int f t.retries;
+    Flight.add_string f " retries";
+    Flight.commit f;
     enter_closed t `Timeout
   end
   else begin
     t.retries <- t.retries + 1;
     t.retransmits <- t.retransmits + 1;
     Dk_obs.Metrics.incr m_retransmits;
-    Dk_obs.Flight.recordf Dk_obs.Flight.default
-      ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Retransmit
-      "tcp %d->%d rto #%d, seq %d (rto now %Ldns)" t.local.Addr.port
-      t.remote.Addr.port t.retries t.snd_una
-      (Int64.min t.config.rto_max (Int64.mul t.rto 2L));
+    let f = start_conn_entry t Flight.Retransmit in
+    Flight.add_string f " rto #";
+    Flight.add_int f t.retries;
+    Flight.add_string f ", seq ";
+    Flight.add_int f t.snd_una;
+    Flight.add_string f " (rto now ";
+    Flight.add_int f
+      (Int64.to_int (Int64.min t.config.rto_max (Int64.mul t.rto 2L)));
+    Flight.add_string f "ns)";
+    Flight.commit f;
     (* Multiplicative decrease, back to slow start. *)
     t.ssthresh <- max (t.cwnd / 2) (2 * t.config.mss);
     t.cwnd <- t.config.mss;
@@ -290,11 +309,8 @@ let rec output_rounds t budget =
   if n > 0 then begin
     let buf = Bytes.create n in
     (* The bytes to send start [unacked t] into the ring. *)
-    let skip = unacked t in
-    let tmp = Bytes.create (skip + n) in
-    let got = Dk_util.Ring.peek t.send_ring tmp 0 (skip + n) in
-    if got = skip + n then begin
-      Bytes.blit tmp skip buf 0 n;
+    let got = Dk_util.Ring.peek_at t.send_ring (unacked t) buf 0 n in
+    if got = n then begin
       let payload = Bytes.unsafe_to_string buf in
       emit_seg t ~payload ack_flags;
       t.snd_nxt <- seq_add t.snd_nxt n;
@@ -535,10 +551,11 @@ let process_ack t (seg : Tcp_wire.t) =
           t.retransmits <- t.retransmits + 1;
           Dk_obs.Metrics.incr m_fast_retransmits;
           Dk_obs.Metrics.incr m_retransmits;
-          Dk_obs.Flight.recordf Dk_obs.Flight.default
-            ~now:(Dk_sim.Engine.now t.engine) Dk_obs.Flight.Retransmit
-            "tcp %d->%d fast retransmit, seq %d (3 dup acks)"
-            t.local.Addr.port t.remote.Addr.port t.snd_una;
+          let f = start_conn_entry t Flight.Retransmit in
+          Flight.add_string f " fast retransmit, seq ";
+          Flight.add_int f t.snd_una;
+          Flight.add_string f " (3 dup acks)";
+          Flight.commit f;
           t.ssthresh <- max (t.cwnd / 2) (2 * t.config.mss);
           t.cwnd <- t.ssthresh;
           retransmit_head t;

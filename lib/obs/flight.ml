@@ -50,10 +50,14 @@ type entry = { at : int64; kind : kind; what : string }
    prefix, drop that many bytes. *)
 let header_len = 2
 let payload_fixed = 9 (* timestamp + tag *)
+let label_off = header_len + payload_fixed
 
 type t = {
   ring : Dk_util.Ring.t;
   capacity : int;
+  entry : Bytes.t;  (* the entry being built, encoded in wire format *)
+  hdr : Bytes.t;    (* eviction reads the oldest entry's prefix here *)
+  mutable pos : int;  (* end of [entry]'s label so far; -1: none open *)
   mutable on : bool;
   mutable count : int;    (* entries currently in the ring *)
   mutable total : int;    (* entries ever recorded *)
@@ -61,11 +65,14 @@ type t = {
 }
 
 let create ?(capacity = 64 * 1024) () =
-  if capacity < header_len + payload_fixed + 1 then
+  if capacity < label_off + 1 then
     invalid_arg "Flight.create: capacity too small for one entry";
   {
     ring = Dk_util.Ring.create capacity;
     capacity;
+    entry = Bytes.create capacity;
+    hdr = Bytes.create header_len;
+    pos = -1;
     on = true;
     count = 0;
     total = 0;
@@ -80,50 +87,91 @@ let default = create ()
 let enabled t = t.on
 let set_enabled t on = t.on <- on
 
+(* ---- the entry builder ----
+
+   The label is written straight into [entry] behind its timestamp and
+   tag. [entry] is [capacity] bytes, so a label stops growing at
+   [capacity - label_off] bytes: the longest one the ring can hold. *)
+
+let start t ~now kind =
+  if t.on then begin
+    Bytes.set_int64_be t.entry header_len now;
+    Bytes.set_uint8 t.entry (header_len + 8) (kind_tag kind);
+    t.pos <- label_off
+  end
+
+let add_string t s =
+  if t.pos >= 0 then begin
+    let n = min (String.length s) (t.capacity - t.pos) in
+    Bytes.blit_string s 0 t.entry t.pos n;
+    t.pos <- t.pos + n
+  end
+
+(* Digits are written least significant first, from the last one's
+   position backwards; a digit past the end of [entry] is skipped, so
+   a number cut short keeps its leading digits, as a cut string does.
+   Decimal works on [v <= 0], so [min_int]'s magnitude cannot
+   overflow. *)
+let rec dec_width v w = if v > -10 then w else dec_width (v / 10) (w + 1)
+
+let rec put_dec t v i =
+  if i < t.capacity then
+    Bytes.unsafe_set t.entry i (Char.unsafe_chr (48 - (v mod 10)));
+  if v <= -10 then put_dec t (v / 10) (i - 1)
+
+let add_int t n =
+  if t.pos >= 0 then begin
+    if n < 0 && t.pos < t.capacity then begin
+      Bytes.unsafe_set t.entry t.pos '-';
+      t.pos <- t.pos + 1
+    end;
+    let v = if n < 0 then n else -n in
+    let w = dec_width v 1 in
+    put_dec t v (t.pos + w - 1);
+    t.pos <- min t.capacity (t.pos + w)
+  end
+
+(* [%x] prints the int's bits unsigned, so [lsr] walks negatives too. *)
+let rec hex_width v w = if v lsr 4 = 0 then w else hex_width (v lsr 4) (w + 1)
+
+let rec put_hex t v i =
+  if i < t.capacity then
+    Bytes.unsafe_set t.entry i (String.unsafe_get "0123456789abcdef" (v land 15));
+  if v lsr 4 <> 0 then put_hex t (v lsr 4) (i - 1)
+
+let add_hex t n =
+  if t.pos >= 0 then begin
+    let w = hex_width n 1 in
+    put_hex t n (t.pos + w - 1);
+    t.pos <- min t.capacity (t.pos + w)
+  end
+
 let evict_one t =
-  let hdr = Bytes.create header_len in
-  let got = Dk_util.Ring.read t.ring hdr 0 header_len in
+  let got = Dk_util.Ring.read t.ring t.hdr 0 header_len in
   if got = header_len then begin
-    let len = Bytes.get_uint16_be hdr 0 in
+    let len = Bytes.get_uint16_be t.hdr 0 in
     ignore (Dk_util.Ring.drop t.ring len);
     t.count <- t.count - 1;
     t.dropped <- t.dropped + 1
   end
-  [@@hot.alloc
-    "a fixed-size header scratch when the ring wraps and must evict"]
 
-let record t ~now kind what =
-  if t.on then begin
-    let max_label = t.capacity - header_len - payload_fixed in
-    let what =
-      if String.length what > max_label then String.sub what 0 max_label
-      else what
-    in
-    let plen = payload_fixed + String.length what in
-    let need = header_len + plen in
+let commit t =
+  if t.pos >= 0 then begin
+    let need = t.pos in
+    t.pos <- -1;
+    Bytes.set_uint16_be t.entry 0 (need - header_len);
     while Dk_util.Ring.available t.ring < need do
       evict_one t
     done;
-    let buf = Bytes.create need in
-    Bytes.set_uint16_be buf 0 plen;
-    Bytes.set_int64_be buf header_len now;
-    Bytes.set_uint8 buf (header_len + 8) (kind_tag kind);
-    Bytes.blit_string what 0 buf (header_len + payload_fixed)
-      (String.length what);
-    ignore (Dk_util.Ring.write t.ring buf 0 need);
+    ignore (Dk_util.Ring.write t.ring t.entry 0 need);
     t.count <- t.count + 1;
     t.total <- t.total + 1
   end
-  [@@hot.alloc
-    "one bounded scratch buffer per recorded entry; the ring itself is \
-     preallocated"]
 
-let recordf t ~now kind fmt =
-  if t.on then Format.kasprintf (fun s -> record t ~now kind s) fmt
-  else Format.ikfprintf ignore Format.str_formatter fmt
-  [@@hot.alloc
-    "formatting the flight-recorder label allocates; recording is \
-     opt-in observability, not datapath payload"]
+let record t ~now kind what =
+  start t ~now kind;
+  add_string t what;
+  commit t
 
 let entries t =
   let len = Dk_util.Ring.length t.ring in

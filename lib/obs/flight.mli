@@ -42,14 +42,47 @@ val default : t
 val enabled : t -> bool
 val set_enabled : t -> bool -> unit
 
-val record : t -> now:int64 -> kind -> string -> unit
-(** Append an entry (evicting the oldest as needed). Labels longer
-    than the ring allows are truncated. No-op when disabled. *)
+(** {2 Recording}
 
-val recordf :
-  t -> now:int64 -> kind -> ('a, Format.formatter, unit, unit) format4 -> 'a
-(** Formatted variant; the label is only built when enabled, so
-    disabled recorders cost one branch per site. *)
+    An entry is built in place: {!start} it, append its label piece by
+    piece, then {!commit} it, e.g. the equivalent of
+    [sprintf "nic %x rx %dB" mac len] is
+
+    {[
+      Flight.start f ~now Flight.Enqueue;
+      Flight.add_string f "nic ";
+      Flight.add_hex f mac;
+      Flight.add_string f " rx ";
+      Flight.add_int f len;
+      Flight.add_string f "B";
+      Flight.commit f
+    ]}
+
+    The builder allocates nothing: the entry is encoded into a scratch
+    buffer the recorder preallocates at {!create} and copied into the
+    ring by one write, evicting the oldest entries as needed. When the
+    recorder is disabled each call is one branch. Labels longer than
+    the ring allows are truncated. Entries do not nest: build one at a
+    time. *)
+
+val start : t -> now:int64 -> kind -> unit
+(** Open an entry stamped [now]; no-op when disabled. *)
+
+val add_string : t -> string -> unit
+(** Append to the open entry's label (no-op when none is open). *)
+
+val add_int : t -> int -> unit
+(** Append an int in decimal, as [%d]. *)
+
+val add_hex : t -> int -> unit
+(** Append an int in lowercase hex, as [%x] (negatives print their
+    bits unsigned, as [%x] does). *)
+
+val commit : t -> unit
+(** Append the open entry to the ring and close it. *)
+
+val record : t -> now:int64 -> kind -> string -> unit
+(** [record t ~now kind s] is [start], [add_string s], [commit]. *)
 
 val entries : t -> entry list
 (** Oldest first. Non-destructive. *)

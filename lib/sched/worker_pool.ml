@@ -1,5 +1,6 @@
 module Engine = Dk_sim.Engine
 module Cost = Dk_sim.Cost
+module Flight = Dk_obs.Flight
 
 type mode = [ `Epoll_herd | `Qtoken ]
 
@@ -32,6 +33,14 @@ type state = {
   total_jobs : int;
 }
 
+(* "<who><id>", e.g. "herd worker 3" *)
+let record_wakeup st who id =
+  let f = Flight.default in
+  Flight.start f ~now:(Engine.now st.engine) Flight.Wakeup;
+  Flight.add_string f who;
+  Flight.add_int f id;
+  Flight.commit f
+
 (* Execute [job] on worker [id]; when done, pull more ready work or go
    idle. *)
 let rec execute st id job =
@@ -52,8 +61,7 @@ let rec execute st id job =
 let herd_worker_wakes st id =
   st.wakeups <- st.wakeups + 1;
   Dk_obs.Metrics.incr m_wakeups;
-  Dk_obs.Flight.recordf Dk_obs.Flight.default ~now:(Engine.now st.engine)
-    Dk_obs.Flight.Wakeup "herd worker %d" id;
+  record_wakeup st "herd worker " id;
   match Queue.take_opt st.ready with
   | None ->
       (* Thundering herd loser: woke for nothing, back to sleep. *)
@@ -92,9 +100,7 @@ let job_arrives st =
             (Engine.after st.engine st.cost.Cost.context_switch (fun () ->
                  st.wakeups <- st.wakeups + 1;
                  Dk_obs.Metrics.incr m_wakeups;
-                 Dk_obs.Flight.recordf Dk_obs.Flight.default
-                   ~now:(Engine.now st.engine) Dk_obs.Flight.Wakeup
-                   "qtoken worker %d" id;
+                 record_wakeup st "qtoken worker " id;
                  execute st id job)))
 
 let run ~engine ~cost ~mode ~workers ~jobs ~mean_interarrival_ns ~service_ns

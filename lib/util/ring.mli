@@ -33,6 +33,12 @@ val read : t -> bytes -> int -> int -> int
 val peek : t -> bytes -> int -> int -> int
 (** Like {!read} but does not consume. *)
 
+val peek_at : t -> int -> bytes -> int -> int -> int
+(** [peek_at t skip dst off len] is {!peek} starting [skip] bytes past
+    the oldest stored byte: it copies up to [len] bytes into [dst] at
+    [off] without consuming, and returns how many it copied (0 when
+    [skip >= length t]). *)
+
 val drop : t -> int -> int
 (** [drop t n] discards up to [n] bytes; returns the number dropped. *)
 

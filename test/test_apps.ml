@@ -302,6 +302,43 @@ let kv_latency_shape () =
 
 (* ---------------- echo across the three interfaces ---------------- *)
 
+(* Host-allocation gate: a warmed-up 64 B Demikernel echo, measured
+   over 500 closed-loop rounds with the flight recorder on, stays
+   under 2200 minor words per round trip (about 1900 measured; 5400
+   when every flight label was formatted). Allocation is deterministic
+   for a given binary, so the bound is tight: one formatted label back
+   on the push/pop path alone adds about 500 words and crosses it. *)
+let echo_host_alloc_gate () =
+  let duo = Setup.two_hosts () in
+  let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
+  let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
+  ignore (Echo.start_demi_server ~demi:db ~port:7);
+  let qd = Result.get_ok (Demi.socket da `Tcp) in
+  check_bool "connected" true
+    (Result.is_ok (Demi.connect da qd ~dst:(Setup.endpoint duo.Setup.b 7)));
+  check_bool "flight recorder on" true (Dk_obs.Flight.enabled Dk_obs.Flight.default);
+  let payload = String.make 64 'e' in
+  let round () =
+    let sga = Result.get_ok (Demi.sga_alloc da payload) in
+    (match Demi.wait da (Result.get_ok (Demi.push da qd sga)) with
+    | Demikernel.Types.Pushed -> ()
+    | _ -> Alcotest.fail "push");
+    (match Demi.wait da (Result.get_ok (Demi.pop da qd)) with
+    | Demikernel.Types.Popped reply ->
+        if Dk_mem.Sga.length reply <> 64 then Alcotest.fail "short echo";
+        Demi.sga_free da reply
+    | _ -> Alcotest.fail "pop");
+    Demi.sga_free da sga
+  in
+  for _ = 1 to 200 do round () done;
+  let rounds = 500 in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do round () done;
+  let per_op = (Gc.minor_words () -. w0) /. float_of_int rounds in
+  check_bool
+    (Printf.sprintf "%.0f minor words per 64 B echo <= 2200" per_op)
+    true (per_op <= 2200.)
+
 let echo_three_way_latency_order () =
   (* Demikernel < kernel < mTCP in *latency* — the §6 claim that
      mTCP's latency is worse than the kernel's. *)
@@ -377,5 +414,6 @@ let () =
           Alcotest.test_case "fallback slower than bypass" `Quick fallback_slower_than_bypass;
           Alcotest.test_case "kv latency shape" `Quick kv_latency_shape;
           Alcotest.test_case "echo latency order" `Quick echo_three_way_latency_order;
+          Alcotest.test_case "echo host alloc gate" `Quick echo_host_alloc_gate;
         ] );
     ]

@@ -230,7 +230,10 @@ let flight_record_entries () =
   let f = F.create ~capacity:4096 () in
   F.record f ~now:10L F.Push "first";
   F.record f ~now:20L F.Drop "second";
-  F.recordf f ~now:30L F.Mark "n=%d" 3;
+  F.start f ~now:30L F.Mark;
+  F.add_string f "n=";
+  F.add_int f 3;
+  F.commit f;
   check_int "length" 3 (F.length f);
   check_int "recorded" 3 (F.recorded f);
   check_int "evicted" 0 (F.evicted f);
@@ -268,7 +271,10 @@ let flight_disable_and_clear () =
   F.record f ~now:1L F.Push "kept";
   F.set_enabled f false;
   F.record f ~now:2L F.Push "ignored";
-  F.recordf f ~now:3L F.Push "also %s" "ignored";
+  F.start f ~now:3L F.Push;
+  F.add_string f "also ";
+  F.add_string f "ignored";
+  F.commit f;
   check_int "disabled records nothing" 1 (F.length f);
   F.set_enabled f true;
   F.record f ~now:4L F.Push "kept2";
@@ -289,6 +295,159 @@ let flight_label_truncated () =
       check Alcotest.bool "prefix kept" true
         (String.length e.F.what > 0 && e.F.what.[0] = 'x')
   | l -> Alcotest.failf "expected 1 entry, got %d" (List.length l)
+
+(* Every datapath flight site's label, built as the site builds it,
+   next to the format string the site used before the builder: the
+   two must agree byte for byte over edge values. *)
+let site_labels : (string * (int -> int -> string) * (F.t -> int -> int -> unit)) list =
+  let open F in
+  let s = add_string and d = add_int and x = add_hex in
+  [
+    ( "qd push/pop",
+      (fun a b -> Printf.sprintf "qd %d (%s) tok %d" a "tcp" b),
+      fun f a b -> s f "qd "; d f a; s f " ("; s f "tcp"; s f ") tok "; d f b );
+    ( "qtoken completion",
+      (fun a _ -> Printf.sprintf "qtoken %d" a),
+      fun f a _ -> s f "qtoken "; d f a );
+    ( "block dispatch gave up",
+      (fun a b -> Printf.sprintf "block wr_id %d failed after %d retries" a b),
+      fun f a b -> s f "block wr_id "; d f a; s f " failed after "; d f b;
+        s f " retries" );
+    ( "nic tx ring full",
+      (fun a b -> Printf.sprintf "nic %x tx ring full (%d in flight)" a b),
+      fun f a b -> s f "nic "; x f a; s f " tx ring full ("; d f b;
+        s f " in flight)" );
+    ( "nic rx",
+      (fun a b -> Printf.sprintf "nic %x rx %dB (ring %d)" a b a),
+      fun f a b -> s f "nic "; x f a; s f " rx "; d f b; s f "B (ring ";
+        d f a; s f ")" );
+    ( "nic rx ring full",
+      (fun a b -> Printf.sprintf "nic %x rx ring full, frame dropped (%dB)" a b),
+      fun f a b -> s f "nic "; x f a; s f " rx ring full, frame dropped (";
+        d f b; s f "B)" );
+    ( "fabric lost",
+      (fun a b -> Printf.sprintf "fabric lost frame %x->%x (%dB)" a b a),
+      fun f a b -> s f "fabric lost frame "; x f a; s f "->"; x f b;
+        s f " ("; d f a; s f "B)" );
+    ( "block completion",
+      (fun a b ->
+        Printf.sprintf "block wr_id %d (%Ldns in queue)" a (Int64.of_int b)),
+      fun f a b -> s f "block wr_id "; d f a; s f " (";
+        d f (Int64.to_int (Int64.of_int b)); s f "ns in queue)" );
+    ( "block SQ full",
+      (fun a _ -> Printf.sprintf "block SQ full (%d in flight)" a),
+      fun f a _ -> s f "block SQ full ("; d f a; s f " in flight)" );
+    ( "stack checksum",
+      (fun a _ -> Printf.sprintf "stack %x: %s" a "bad checksum"),
+      fun f a _ -> s f "stack "; x f a; s f ": "; s f "bad checksum" );
+    ( "arp gave up",
+      (fun a b ->
+        Printf.sprintf "arp gave up on %x after %d tries (%d queued sends dropped)"
+          a b a),
+      fun f a b -> s f "arp gave up on "; x f a; s f " after "; d f b;
+        s f " tries ("; d f a; s f " queued sends dropped)" );
+    ( "tcp gave up",
+      (fun a b -> Printf.sprintf "tcp %d->%d gave up after %d retries" a b a),
+      fun f a b -> s f "tcp "; d f a; s f "->"; d f b; s f " gave up after ";
+        d f a; s f " retries" );
+    ( "tcp rto",
+      (fun a b ->
+        Printf.sprintf "tcp %d->%d rto #%d, seq %d (rto now %Ldns)" a b a b
+          (Int64.of_int a)),
+      fun f a b -> s f "tcp "; d f a; s f "->"; d f b; s f " rto #"; d f a;
+        s f ", seq "; d f b; s f " (rto now ";
+        d f (Int64.to_int (Int64.of_int a)); s f "ns)" );
+    ( "tcp fast retransmit",
+      (fun a b ->
+        Printf.sprintf "tcp %d->%d fast retransmit, seq %d (3 dup acks)" a b a),
+      fun f a b -> s f "tcp "; d f a; s f "->"; d f b;
+        s f " fast retransmit, seq "; d f a; s f " (3 dup acks)" );
+    ( "herd wakeup",
+      (fun a _ -> Printf.sprintf "herd worker %d" a),
+      fun f a _ -> s f "herd worker "; d f a );
+    ( "qtoken wakeup",
+      (fun a _ -> Printf.sprintf "qtoken worker %d" a),
+      fun f a _ -> s f "qtoken worker "; d f a );
+    ( "fault injected",
+      (fun a _ -> Printf.sprintf "fault injected: %s (#%d)" "nic-drop" a),
+      fun f a _ -> s f "fault injected: "; s f "nic-drop"; s f " (#"; d f a;
+        s f ")" );
+  ]
+
+let label_edges =
+  [ 0; 1; -1; 9; 10; -10; 99; 1234567; -987654; max_int; min_int; 0xabcdef;
+    0x02_00_00_00_00_01; 0x0a000002 ]
+
+let flight_builder_matches_printf () =
+  let f = F.create ~capacity:4096 () in
+  List.iter
+    (fun (site, printf, build) ->
+      List.iter
+        (fun a ->
+          List.iter
+            (fun b ->
+              F.clear f;
+              F.start f ~now:0L F.Mark;
+              build f a b;
+              F.commit f;
+              match F.entries f with
+              | [ e ] ->
+                  check Alcotest.string
+                    (Printf.sprintf "%s (%d, %d)" site a b)
+                    (printf a b) e.F.what
+              | l -> Alcotest.failf "%s: %d entries" site (List.length l))
+            label_edges)
+        label_edges)
+    site_labels
+
+let flight_builder_truncates_like_record () =
+  (* A label built past the ring's room keeps the same prefix that
+     [record] keeps when handed the whole string, cut mid-number too. *)
+  List.iter
+    (fun cut ->
+      let full = Printf.sprintf "%sn=%d x=%x" (String.make cut 'p') min_int (-1) in
+      let a = F.create ~capacity:64 () and b = F.create ~capacity:64 () in
+      F.record a ~now:1L F.Mark full;
+      F.start b ~now:1L F.Mark;
+      F.add_string b (String.make cut 'p');
+      F.add_string b "n=";
+      F.add_int b min_int;
+      F.add_string b " x=";
+      F.add_hex b (-1);
+      F.commit b;
+      check Alcotest.(list string)
+        (Printf.sprintf "cut at %d" cut)
+        (List.map (fun e -> e.F.what) (F.entries a))
+        (List.map (fun e -> e.F.what) (F.entries b)))
+    [ 0; 10; 20; 30; 35; 40; 45; 52; 53; 60 ]
+
+(* 10 000 builder entries through a 128-byte ring: eviction on every
+   commit, and not one minor word allocated; nor when disabled. *)
+let flight_builder_allocates_nothing () =
+  let f = F.create ~capacity:128 () in
+  let entries () =
+    for i = 1 to 10_000 do
+      F.start f ~now:42L F.Enqueue;
+      F.add_string f "nic ";
+      F.add_hex f 0x02_00_00_00_00_01;
+      F.add_string f " rx ";
+      F.add_int f (-i);
+      F.add_string f "B";
+      F.commit f
+    done
+  in
+  let words run =
+    run ();
+    let w0 = Gc.minor_words () in
+    run ();
+    Gc.minor_words () -. w0
+  in
+  check (Alcotest.float 0.) "enabled: minor words" 0. (words entries);
+  check Alcotest.bool "evicted" true (F.evicted f > 10_000);
+  F.set_enabled f false;
+  let before = F.recorded f in
+  check (Alcotest.float 0.) "disabled: minor words" 0. (words entries);
+  check_int "disabled records nothing" before (F.recorded f)
 
 let flight_dump_on_violation () =
   (* The documented wiring: a Dk_check sink that dumps the flight ring
@@ -571,6 +730,12 @@ let () =
           Alcotest.test_case "eviction" `Quick flight_eviction;
           Alcotest.test_case "disable/clear" `Quick flight_disable_and_clear;
           Alcotest.test_case "oversized label" `Quick flight_label_truncated;
+          Alcotest.test_case "builder labels match printf" `Quick
+            flight_builder_matches_printf;
+          Alcotest.test_case "builder truncates like record" `Quick
+            flight_builder_truncates_like_record;
+          Alcotest.test_case "builder allocates nothing" `Quick
+            flight_builder_allocates_nothing;
           Alcotest.test_case "dump on violation" `Quick flight_dump_on_violation;
         ] );
       ( "stats --json",

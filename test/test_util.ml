@@ -46,6 +46,31 @@ let ring_peek_drop () =
   check_int "drop 2" 2 (Ring.drop r 2);
   check_str "after drop" "cdef" (Ring.read_all r)
 
+let ring_peek_at_wraparound () =
+  (* head at 5 of 8: the stored "efghijk" wraps after "efg" *)
+  let r = Ring.create 8 in
+  ignore (Ring.write_string r "abcde");
+  check_int "drop 5" 5 (Ring.drop r 5);
+  ignore (Ring.write_string r "efghijk");
+  let buf = Bytes.make 6 '.' in
+  check_int "peek across the wrap" 4 (Ring.peek_at r 2 buf 1 4);
+  check_str "bytes 2..5" ".ghij." (Bytes.to_string buf);
+  check_int "peek past the wrap" 3 (Ring.peek_at r 4 buf 0 3);
+  check_str "bytes 4..6" "ijkij." (Bytes.to_string buf);
+  check_int "length unchanged" 7 (Ring.length r)
+
+let ring_peek_at_short () =
+  let r = Ring.create 8 in
+  ignore (Ring.write_string r "abcdef");
+  let buf = Bytes.make 8 '.' in
+  check_int "skip + len > length" 2 (Ring.peek_at r 4 buf 0 5);
+  check_str "only the tail" "ef......" (Bytes.to_string buf);
+  check_int "skip = length" 0 (Ring.peek_at r 6 buf 0 3);
+  check_int "skip > length" 0 (Ring.peek_at r 7 buf 0 3);
+  check_str "untouched" "ef......" (Bytes.to_string buf);
+  Alcotest.check_raises "negative skip" (Invalid_argument "Ring.peek")
+    (fun () -> ignore (Ring.peek_at r (-1) buf 0 1))
+
 let ring_partial_read () =
   let r = Ring.create 8 in
   ignore (Ring.write_string r "abc");
@@ -347,6 +372,8 @@ let () =
           Alcotest.test_case "overflow" `Quick ring_overflow;
           Alcotest.test_case "wraparound" `Quick ring_wraparound;
           Alcotest.test_case "peek/drop" `Quick ring_peek_drop;
+          Alcotest.test_case "peek_at wraparound" `Quick ring_peek_at_wraparound;
+          Alcotest.test_case "peek_at short" `Quick ring_peek_at_short;
           Alcotest.test_case "partial read" `Quick ring_partial_read;
           Alcotest.test_case "clear" `Quick ring_clear;
           Alcotest.test_case "invalid" `Quick ring_invalid;
