@@ -3,39 +3,26 @@
    syscall and copy accounting for the kernel path (the bypass path has
    none, by construction). *)
 
-module Setup = Dk_apps.Sim_setup
-module Echo = Dk_apps.Echo
-module Posix = Dk_kernel.Posix
+module Datapath = Dk_apps.Datapath
 module H = Dk_sim.Histogram
 
 let rounds = 50
 
-let kernel_rtt size =
-  let duo = Setup.two_hosts ~kernel_stack:true () in
-  let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-  let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
-  ignore (Echo.start_posix_server ~posix:pb ~port:7);
-  let before = (Posix.stats pa).Posix.syscalls in
-  match
-    Echo.posix_rtt ~posix:pa ~engine:duo.Setup.engine
-      ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds
-  with
+(* p50 RTT, syscalls per round trip and bytes copied per round trip,
+   all on the client. *)
+let echo (type a) (module D : Datapath.S with type t = a) size =
+  let module Echo = Dk_apps.Echo.Make (D) in
+  let w = Datapath.two_hosts (module D) in
+  ignore (Echo.start_server w.Datapath.server ~port:7);
+  let before = D.io_stats w.Datapath.client in
+  match Echo.rtt w.Datapath.client ~dst:(Datapath.server_endpoint w 7) ~size ~rounds with
   | Ok h ->
-      let syscalls = (Posix.stats pa).Posix.syscalls - before in
-      (H.quantile h 0.5, float_of_int syscalls /. float_of_int rounds,
-       float_of_int (Posix.stats pa).Posix.bytes_copied /. float_of_int rounds)
-  | Error _ -> failwith "kernel echo failed"
-
-let demi_rtt size =
-  let duo = Setup.two_hosts () in
-  let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-  ignore (Echo.start_demi_server ~demi:db ~port:7);
-  match
-    Echo.demi_rtt ~demi:da ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds
-  with
-  | Ok h -> H.quantile h 0.5
-  | Error _ -> failwith "demi echo failed"
+      let after = D.io_stats w.Datapath.client in
+      let per_round n = float_of_int n /. float_of_int rounds in
+      ( H.quantile h 0.5,
+        per_round (after.Dk_kernel.Posix.syscalls - before.Dk_kernel.Posix.syscalls),
+        per_round (after.bytes_copied - before.bytes_copied) )
+  | Error _ -> failwith "echo failed"
 
 let run () =
   Report.header ~id:"E1: data-path architectures" ~source:"Figure 1"
@@ -47,8 +34,8 @@ let run () =
   let rows =
     List.map
       (fun size ->
-        let krtt, ksys, kcopy = kernel_rtt size in
-        let drtt = demi_rtt size in
+        let krtt, ksys, kcopy = echo (module Datapath.Posix) size in
+        let drtt, _, _ = echo (module Datapath.Demi) size in
         [
           string_of_int size;
           Report.ns krtt;

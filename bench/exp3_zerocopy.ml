@@ -4,44 +4,25 @@
    datum) vs the Demikernel zero-copy path, plus the direct
    copy-vs-app-work accounting the paper states. *)
 
-module Setup = Dk_apps.Sim_setup
+module Datapath = Dk_apps.Datapath
 module Kv = Dk_apps.Kv
 module Kv_app = Dk_apps.Kv_app
-module Kv_posix = Dk_apps.Kv_posix
-module Demi = Demikernel.Demi
 module Cost = Dk_sim.Cost
 module H = Dk_sim.Histogram
 
 let ops = 60
 
-let demi_get_p50 value_size =
-  let duo = Setup.two_hosts () in
-  let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-  let kv = Kv.create (Demi.manager db) in
-  ignore (Kv_app.start_tcp_server ~demi:db ~port:1 ~kv);
+let get_p50 (type a) (module D : Datapath.S with type t = a) value_size =
+  let module Kv_tcp = Kv_app.Tcp (D) in
+  let w = Datapath.two_hosts (module D) in
+  let kv = Kv.create (D.manager w.Datapath.server) in
+  ignore (Kv_tcp.start_server w.Datapath.server ~port:1 ~kv);
   match
-    Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint duo.Setup.b 1) ~ops
+    Kv_tcp.run_client w.Datapath.client ~dst:(Datapath.server_endpoint w 1) ~ops
       ~keys:8 ~value_size ~read_fraction:1.0 ()
   with
   | Ok s -> H.quantile s.Kv_app.latency 0.5
-  | Error _ -> failwith "demi kv failed"
-
-let posix_get_p50 value_size =
-  let duo = Setup.two_hosts ~kernel_stack:true () in
-  let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-  let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
-  let kv = Kv.create (Dk_mem.Manager.create ()) in
-  ignore
-    (Kv_posix.start_server ~posix:pb ~cost:duo.Setup.cost
-       ~engine:duo.Setup.engine ~port:1 ~kv);
-  match
-    Kv_posix.run_client ~posix:pa ~cost:duo.Setup.cost ~engine:duo.Setup.engine
-      ~dst:(Setup.endpoint duo.Setup.b 1) ~ops ~keys:8 ~value_size
-      ~read_fraction:1.0 ()
-  with
-  | Ok s -> H.quantile s.Kv_app.latency 0.5
-  | Error _ -> failwith "posix kv failed"
+  | Error _ -> failwith "kv failed"
 
 let run () =
   Report.header ~id:"E3: zero-copy I/O" ~source:"§3.2"
@@ -56,7 +37,8 @@ let run () =
   let rows =
     List.map
       (fun size ->
-        let p = posix_get_p50 size and d = demi_get_p50 size in
+        let p = get_p50 (module Datapath.Posix) size
+        and d = get_p50 (module Datapath.Demi) size in
         [ string_of_int size; Report.ns p; Report.ns d; Report.ratio p d ])
       [ 64; 512; 4096; 16384; 65536 ]
   in

@@ -6,7 +6,7 @@
    queues. The shape to reproduce: demikernel << kernel < mTCP in
    latency, even though mTCP also bypasses the kernel. *)
 
-module Setup = Dk_apps.Sim_setup
+module Datapath = Dk_apps.Datapath
 module Echo = Dk_apps.Echo
 module H = Dk_sim.Histogram
 
@@ -18,14 +18,12 @@ let tp_size = 64
 (* Pipelined throughput: keep [tp_window] messages outstanding and
    measure completions per virtual second. *)
 let kernel_throughput () =
-  let duo = Setup.two_hosts ~kernel_stack:true () in
-  let engine = duo.Setup.engine in
-  let pa = Setup.posix_of_host ~engine ~cost:duo.Setup.cost duo.Setup.a in
-  let pb = Setup.posix_of_host ~engine ~cost:duo.Setup.cost duo.Setup.b in
-  ignore (Echo.start_posix_server ~posix:pb ~port:7);
+  let w = Datapath.two_hosts (module Datapath.Posix) in
+  let engine = w.duo.engine and pa = w.client in
+  ignore (Echo.start_posix_server ~posix:w.server ~port:7);
   let module P = Dk_kernel.Posix in
   let fd = P.socket pa in
-  ignore (P.connect pa fd ~dst:(Setup.endpoint duo.Setup.b 7));
+  ignore (P.connect pa fd ~dst:(Datapath.server_endpoint w 7));
   ignore (Dk_sim.Engine.run_until engine (fun () -> P.connected pa fd));
   let payload = String.make tp_size 'k' in
   let sent = ref 0 and rcvd_bytes = ref 0 in
@@ -54,14 +52,14 @@ let kernel_throughput () =
   let elapsed = Int64.sub (Dk_sim.Engine.now engine) t0 in
   float_of_int (!rcvd_bytes / tp_size) /. (Int64.to_float elapsed /. 1e9)
 
+module Echo_mtcp = Echo.Make (Datapath.Mtcp)
+
 let mtcp_throughput () =
-  let duo = Setup.two_hosts () in
-  let engine = duo.Setup.engine in
-  let ma = Setup.mtcp_of_host ~engine ~cost:duo.Setup.cost duo.Setup.a in
-  let mb = Setup.mtcp_of_host ~engine ~cost:duo.Setup.cost duo.Setup.b in
-  ignore (Echo.start_mtcp_server ~mtcp:mb ~port:7);
+  let w = Datapath.two_hosts (module Datapath.Mtcp) in
+  let engine = w.duo.engine in
+  ignore (Echo_mtcp.start_server w.server ~port:7);
   let module M = Dk_kernel.Mtcp in
-  let conn = M.connect ma ~dst:(Setup.endpoint duo.Setup.b 7) in
+  let conn = M.connect w.client ~dst:(Datapath.server_endpoint w 7) in
   let connected = ref false in
   M.set_on_connect conn (fun () -> connected := true);
   ignore (Dk_sim.Engine.run_until engine (fun () -> !connected));
@@ -81,15 +79,13 @@ let mtcp_throughput () =
   float_of_int tp_msgs /. (Int64.to_float elapsed /. 1e9)
 
 let demi_throughput () =
-  let duo = Setup.two_hosts () in
-  let engine = duo.Setup.engine in
-  let da = Setup.demi_of_host ~engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine ~cost:duo.Setup.cost duo.Setup.b () in
-  ignore (Echo.start_demi_server ~demi:db ~port:7);
+  let w = Datapath.two_hosts (module Datapath.Demi) in
+  let engine = w.duo.engine and da = w.client in
+  ignore (Echo.start_demi_server ~demi:w.server ~port:7);
   let module D = Demikernel.Demi in
   let module T = Demikernel.Types in
   let qd = Result.get_ok (D.socket da `Tcp) in
-  ignore (D.connect da qd ~dst:(Setup.endpoint duo.Setup.b 7));
+  ignore (D.connect da qd ~dst:(Datapath.server_endpoint w 7));
   let payload = String.make tp_size 'd' in
   let t0 = Dk_sim.Engine.now engine in
   let done_ = ref 0 in
@@ -115,39 +111,13 @@ let demi_throughput () =
   let elapsed = Int64.sub (Dk_sim.Engine.now engine) t0 in
   float_of_int tp_msgs /. (Int64.to_float elapsed /. 1e9)
 
-let kernel size =
-  let duo = Setup.two_hosts ~kernel_stack:true () in
-  let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-  let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
-  ignore (Echo.start_posix_server ~posix:pb ~port:7);
-  match
-    Echo.posix_rtt ~posix:pa ~engine:duo.Setup.engine
-      ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds
-  with
+let p50 (type a) (module D : Datapath.S with type t = a) size =
+  let module E = Echo.Make (D) in
+  let w = Datapath.two_hosts (module D) in
+  ignore (E.start_server w.server ~port:7);
+  match E.rtt w.client ~dst:(Datapath.server_endpoint w 7) ~size ~rounds with
   | Ok h -> H.quantile h 0.5
-  | Error _ -> failwith "kernel run failed"
-
-let mtcp size =
-  let duo = Setup.two_hosts () in
-  let ma = Setup.mtcp_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-  let mb = Setup.mtcp_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
-  ignore (Echo.start_mtcp_server ~mtcp:mb ~port:7);
-  let h =
-    Echo.mtcp_rtt ~mtcp:ma ~engine:duo.Setup.engine
-      ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds
-  in
-  H.quantile h 0.5
-
-let demikernel size =
-  let duo = Setup.two_hosts () in
-  let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-  ignore (Echo.start_demi_server ~demi:db ~port:7);
-  match
-    Echo.demi_rtt ~demi:da ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds
-  with
-  | Ok h -> H.quantile h 0.5
-  | Error _ -> failwith "demi run failed"
+  | Error _ -> failwith "echo failed"
 
 let run () =
   Report.header ~id:"E7: network stack comparison" ~source:"§6 (related work)"
@@ -161,9 +131,9 @@ let run () =
       (fun size ->
         [
           string_of_int size;
-          Report.ns (kernel size);
-          Report.ns (mtcp size);
-          Report.ns (demikernel size);
+          Report.ns (p50 (module Datapath.Posix) size);
+          Report.ns (p50 (module Datapath.Mtcp) size);
+          Report.ns (p50 (module Datapath.Demi) size);
         ])
       [ 64; 1024; 4096 ]
   in

@@ -2,52 +2,33 @@
    a KV store under a Zipf 90/10 GET/SET mix, on the POSIX kernel path
    vs Demikernel queues. Throughput and tail latency. *)
 
-module Setup = Dk_apps.Sim_setup
+module Datapath = Dk_apps.Datapath
 module Kv = Dk_apps.Kv
 module Kv_app = Dk_apps.Kv_app
-module Kv_posix = Dk_apps.Kv_posix
-module Demi = Demikernel.Demi
-module Posix = Dk_kernel.Posix
 module H = Dk_sim.Histogram
 
 let ops = 1000
 let keys = 200
 let value_size = 1024
 
-let demi_run () =
-  let duo = Setup.two_hosts () in
-  let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-  let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-  let kv = Kv.create (Demi.manager db) in
-  ignore (Kv_app.start_tcp_server ~demi:db ~port:1 ~kv);
+(* Client stats, then server syscalls and bytes copied per request. *)
+let kv_run (type a) (module D : Datapath.S with type t = a) =
+  let module Kv_tcp = Kv_app.Tcp (D) in
+  let w = Datapath.two_hosts (module D) in
+  let kv = Kv.create (D.manager w.Datapath.server) in
+  ignore (Kv_tcp.start_server w.Datapath.server ~port:1 ~kv);
+  let before = D.io_stats w.Datapath.server in
   match
-    Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint duo.Setup.b 1) ~ops
+    Kv_tcp.run_client w.Datapath.client ~dst:(Datapath.server_endpoint w 1) ~ops
       ~keys ~value_size ~read_fraction:0.9 ()
   with
-  | Ok s -> (s, 0.0, 0.0)
-  | Error _ -> failwith "demi kv failed"
-
-let posix_run () =
-  let duo = Setup.two_hosts ~kernel_stack:true () in
-  let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-  let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
-  let kv = Kv.create (Dk_mem.Manager.create ()) in
-  ignore
-    (Kv_posix.start_server ~posix:pb ~cost:duo.Setup.cost
-       ~engine:duo.Setup.engine ~port:1 ~kv);
-  let sys0 = (Posix.stats pb).Posix.syscalls in
-  let copy0 = (Posix.stats pb).Posix.bytes_copied in
-  match
-    Kv_posix.run_client ~posix:pa ~cost:duo.Setup.cost ~engine:duo.Setup.engine
-      ~dst:(Setup.endpoint duo.Setup.b 1) ~ops ~keys ~value_size
-      ~read_fraction:0.9 ()
-  with
   | Ok s ->
+      let after = D.io_stats w.Datapath.server in
       let per_op n = float_of_int n /. float_of_int (ops + keys) in
       ( s,
-        per_op ((Posix.stats pb).Posix.syscalls - sys0),
-        per_op ((Posix.stats pb).Posix.bytes_copied - copy0) )
-  | Error _ -> failwith "posix kv failed"
+        per_op (after.Dk_kernel.Posix.syscalls - before.Dk_kernel.Posix.syscalls),
+        per_op (after.bytes_copied - before.bytes_copied) )
+  | Error _ -> failwith "kv failed"
 
 let describe name (s : Kv_app.client_stats) syscalls copied =
   [
@@ -64,8 +45,8 @@ let run () =
     ~claim:
       "The motivating application: a key-value server whose 2 us of work per\n\
        request is dwarfed by kernel overheads on the legacy path.";
-  let ds, dsys, dcopy = demi_run () in
-  let ps, psys, pcopy = posix_run () in
+  let ds, dsys, dcopy = kv_run (module Datapath.Demi) in
+  let ps, psys, pcopy = kv_run (module Datapath.Posix) in
   let widths = [ 12; 12; 10; 10; 14; 15 ] in
   Report.table widths
     [ "interface"; "kops/s"; "p50(ns)"; "p99(ns)"; "srv syscalls/op"; "srv copied B/op" ]

@@ -10,6 +10,7 @@
 
 module Setup = Dk_apps.Sim_setup
 module Echo = Dk_apps.Echo
+module Datapath = Dk_apps.Datapath
 module Demi_rt = Demikernel.Demi
 module H = Dk_sim.Histogram
 module Runtime = Dk_shard_rt.Runtime
@@ -82,31 +83,23 @@ let rtt_run stack size rounds window shards xfrac =
     pp_shard_table s
   end
   else
+  let hist (type a) (module D : Datapath.S with type t = a) tune =
+    let module E = Echo.Make (D) in
+    let w = Datapath.two_hosts (module D) in
+    tune w.Datapath.client;
+    ignore (E.start_server w.Datapath.server ~port:7);
+    match E.rtt w.Datapath.client ~dst:(Datapath.server_endpoint w 7) ~size ~rounds with
+    | Ok h -> h
+    | Error _ ->
+        Format.eprintf "demi rtt: %s echo failed@." stack;
+        exit 1
+  in
   let h =
     match stack with
-    | "kernel" ->
-        let duo = Setup.two_hosts ~kernel_stack:true () in
-        let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-        let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
-        ignore (Echo.start_posix_server ~posix:pb ~port:7);
-        Result.get_ok
-          (Echo.posix_rtt ~posix:pa ~engine:duo.Setup.engine
-             ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds)
-    | "mtcp" ->
-        let duo = Setup.two_hosts () in
-        let ma = Setup.mtcp_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-        let mb = Setup.mtcp_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
-        ignore (Echo.start_mtcp_server ~mtcp:mb ~port:7);
-        Echo.mtcp_rtt ~mtcp:ma ~engine:duo.Setup.engine
-          ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds
+    | "kernel" -> hist (module Datapath.Posix) ignore
+    | "mtcp" -> hist (module Datapath.Mtcp) ignore
     | _ ->
-        let duo = Setup.two_hosts () in
-        let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-        let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-        Demi_rt.set_batch_window da window;
-        ignore (Echo.start_demi_server ~demi:db ~port:7);
-        Result.get_ok
-          (Echo.demi_rtt ~demi:da ~dst:(Setup.endpoint duo.Setup.b 7) ~size ~rounds)
+        hist (module Datapath.Demi) (fun da -> Demi_rt.set_batch_window da window)
   in
   pp_hist (Printf.sprintf "%s echo %dB" stack size) h
 
@@ -253,45 +246,26 @@ let kv_run iface ops keys value reads offload shards xfrac =
     pp_shard_table s
   end
   else
+  let run (type a) (module D : Datapath.S with type t = a) name =
+    let module Kv_tcp = Dk_apps.Kv_app.Tcp (D) in
+    let w = Datapath.two_hosts (module D) in
+    let kv = Dk_apps.Kv.create (D.manager w.Datapath.server) in
+    ignore (Kv_tcp.start_server w.Datapath.server ~port:1 ~kv);
+    match
+      Kv_tcp.run_client w.Datapath.client ~dst:(Datapath.server_endpoint w 1)
+        ~ops ~keys ~value_size:value ~read_fraction:reads ()
+    with
+    | Ok s ->
+        pp_hist (name ^ " kv") s.Dk_apps.Kv_app.latency;
+        Format.printf "throughput: %.1f kops/s@."
+          (float_of_int s.Dk_apps.Kv_app.ops
+           /. (Int64.to_float s.Dk_apps.Kv_app.elapsed_ns /. 1e9)
+           /. 1000.)
+    | Error _ -> prerr_endline (name ^ " kv run failed")
+  in
   match iface with
-  | "posix" ->
-      let duo = Setup.two_hosts ~kernel_stack:true () in
-      let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
-      let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
-      let kv = Dk_apps.Kv.create (Dk_mem.Manager.create ()) in
-      ignore
-        (Dk_apps.Kv_posix.start_server ~posix:pb ~cost:duo.Setup.cost
-           ~engine:duo.Setup.engine ~port:1 ~kv);
-      (match
-         Dk_apps.Kv_posix.run_client ~posix:pa ~cost:duo.Setup.cost
-           ~engine:duo.Setup.engine ~dst:(Setup.endpoint duo.Setup.b 1) ~ops
-           ~keys ~value_size:value ~read_fraction:reads ()
-       with
-      | Ok s ->
-          pp_hist "posix kv" s.Dk_apps.Kv_app.latency;
-          Format.printf "throughput: %.1f kops/s@."
-            (float_of_int s.Dk_apps.Kv_app.ops
-             /. (Int64.to_float s.Dk_apps.Kv_app.elapsed_ns /. 1e9)
-             /. 1000.)
-      | Error _ -> prerr_endline "posix kv run failed")
-  | _ ->
-      let duo = Setup.two_hosts () in
-      let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
-      let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
-      let kv = Dk_apps.Kv.create (Demi_rt.manager db) in
-      ignore (Dk_apps.Kv_app.start_tcp_server ~demi:db ~port:1 ~kv);
-      (match
-         Dk_apps.Kv_app.run_tcp_client ~demi:da
-           ~dst:(Setup.endpoint duo.Setup.b 1) ~ops ~keys ~value_size:value
-           ~read_fraction:reads ()
-       with
-      | Ok s ->
-          pp_hist "demikernel kv" s.Dk_apps.Kv_app.latency;
-          Format.printf "throughput: %.1f kops/s@."
-            (float_of_int s.Dk_apps.Kv_app.ops
-             /. (Int64.to_float s.Dk_apps.Kv_app.elapsed_ns /. 1e9)
-             /. 1000.)
-      | Error _ -> prerr_endline "demikernel kv run failed")
+  | "posix" -> run (module Datapath.Posix) "posix"
+  | _ -> run (module Datapath.Demi) "demikernel"
 
 let kv_cmd =
   let iface =

@@ -11,6 +11,7 @@ module Demi = Demikernel.Demi
 module Setup = Dk_apps.Sim_setup
 module Kv = Dk_apps.Kv
 module Kv_app = Dk_apps.Kv_app
+module Kv_tcp = Kv_app.Tcp (Dk_apps.Datapath.Demi)
 module H = Dk_sim.Histogram
 
 let () =
@@ -23,12 +24,12 @@ let () =
   in
   let kv = Kv.create (Demi.manager server) in
   let srv =
-    match Kv_app.start_tcp_server ~demi:server ~port:6379 ~kv with
+    match Kv_tcp.start_server server ~port:6379 ~kv with
     | Ok s -> s
     | Error e -> failwith (Demikernel.Types.error_to_string e)
   in
   match
-    Kv_app.run_tcp_client ~demi:client ~dst:(Setup.endpoint duo.Setup.b 6379)
+    Kv_tcp.run_client client ~dst:(Setup.endpoint duo.Setup.b 6379)
       ~ops:2000 ~keys:500 ~value_size:512 ~read_fraction:0.9 ()
   with
   | Error e -> failwith (Demikernel.Types.error_to_string e)

@@ -1,190 +1,61 @@
-module Demi = Demikernel.Demi
-module Types = Demikernel.Types
-module Posix = Dk_kernel.Posix
-module Mtcp = Dk_kernel.Mtcp
 module Engine = Dk_sim.Engine
 
-(* ---- Demikernel ---- *)
+(* Matches rather than [let*] in the round loop: each bind would
+   allocate a closure per round trip. *)
+module Make (D : Datapath.S) = struct
+  let start_server t ~port =
+    D.listen t ~port ~framed:false ~on_accept:(fun c m -> ignore (D.push t c m))
 
-let rec demi_echo_conn demi qd =
-  match Demi.pop demi qd with
-  | Error _ -> ()
-  | Ok tok ->
-      Demi.watch demi tok (function
-        | Types.Popped sga ->
-            (match Demi.push demi qd sga with
-            | Ok ptok -> Demi.watch demi ptok (fun _ -> ())
-            | Error _ -> ());
-            demi_echo_conn demi qd
-        | Types.Failed _ -> (
-            (* best-effort teardown: the peer is already gone *)
-            match Demi.close demi qd with Ok () | Error _ -> ())
-        | Types.Pushed | Types.Accepted _ -> ())
-
-let rec demi_accept_loop demi lqd =
-  match Demi.accept_async demi lqd with
-  | Error _ -> ()
-  | Ok tok ->
-      Demi.watch demi tok (function
-        | Types.Accepted qd ->
-            demi_echo_conn demi qd;
-            demi_accept_loop demi lqd
-        | Types.Failed _ -> ()
-        | Types.Pushed | Types.Popped _ -> ())
-
-let start_demi_server ~demi ~port =
-  let ( let* ) = Result.bind in
-  let* lqd = Demi.socket demi `Tcp in
-  let* () = Demi.bind demi lqd ~port in
-  let* () = Demi.listen demi lqd in
-  demi_accept_loop demi lqd;
-  Ok ()
-
-let demi_rtt ~demi ~dst ~size ~rounds =
-  let ( let* ) = Result.bind in
-  let* qd = Demi.socket demi `Tcp in
-  let* () = Demi.connect demi qd ~dst in
-  let engine = Demi.engine demi in
-  let hist = Dk_sim.Histogram.create () in
-  let payload = String.make size 'e' in
-  let failed = ref false in
-  for _ = 1 to rounds do
-    if not !failed then begin
-      match Demi.sga_alloc demi payload with
-      | Error _ -> failed := true
-      | Ok sga -> (
-          let t0 = Engine.now engine in
-          match Demi.blocking_push demi qd sga with
-          | Types.Pushed -> (
-              match Demi.blocking_pop demi qd with
-              | Types.Popped reply ->
-                  Dk_sim.Histogram.record hist
-                    (Int64.sub (Engine.now engine) t0);
-                  Demi.sga_free demi reply;
-                  Demi.sga_free demi sga
-              | Types.Pushed | Types.Accepted _ | Types.Failed _ ->
-                  failed := true)
-          | Types.Popped _ | Types.Accepted _ | Types.Failed _ ->
-              failed := true)
-    end
-  done;
-  (match Demi.close demi qd with Ok () | Error _ -> ());
-  if !failed then Error `Queue_closed else Ok hist
-
-(* ---- POSIX ---- *)
-
-let start_posix_server ~posix ~port =
-  let lsock = Posix.socket posix in
-  match Posix.listen posix lsock ~port with
-  | Error e -> Error e
-  | Ok () ->
-      let epfd = Posix.epoll_create posix in
-      (match Posix.epoll_add posix epfd lsock [ `In ] with
-      | Ok () -> ()
-      | Error _ -> ());
-      let buf = Bytes.create 65536 in
-      let rec loop () =
-        Posix.epoll_wait_block posix epfd ~max:16 (fun events ->
-            List.iter
-              (fun (fd, _) ->
-                if fd = lsock then begin
-                  match Posix.accept posix lsock with
-                  | Ok c -> ignore (Posix.epoll_add posix epfd c [ `In ])
-                  | Error _ -> ()
-                end
-                else begin
-                  (* echo raw bytes back *)
-                  let rec drain () =
-                    match Posix.read posix fd buf 0 (Bytes.length buf) with
-                    | Ok 0 ->
-                        Posix.epoll_del posix epfd fd;
-                        Posix.close posix fd
-                    | Ok n ->
-                        ignore (Posix.write posix fd (Bytes.sub_string buf 0 n));
-                        drain ()
-                    | Error _ -> ()
-                  in
-                  drain ()
-                end)
-              events;
-            loop ())
-      in
-      loop ();
-      Ok ()
-
-let posix_rtt ~posix ~engine ~dst ~size ~rounds =
-  let fd = Posix.socket posix in
-  match Posix.connect posix fd ~dst with
-  | Error e -> Error e
-  | Ok () ->
-      if not (Engine.run_until engine (fun () -> Posix.connected posix fd))
-      then Error `Connection_closed
-      else begin
-        let epfd = Posix.epoll_create posix in
-        (match Posix.epoll_add posix epfd fd [ `In ] with
-        | Ok () -> ()
-        | Error _ -> ());
+  let rtt t ~dst ~size ~rounds =
+    match D.connect t ~dst ~framed:false with
+    | Error e -> Error e
+    | Ok c ->
+        let engine = D.engine t in
         let hist = Dk_sim.Histogram.create () in
-        let payload = String.make size 'p' in
-        let buf = Bytes.create (max size 1) in
-        for _ = 1 to rounds do
-          let t0 = Engine.now engine in
-          let rec write_all data =
-            if String.length data > 0 then
-              match Posix.write posix fd data with
-              | Ok n -> write_all (String.sub data n (String.length data - n))
-              | Error `Again -> if Engine.step engine then write_all data
-              | Error _ -> ()
-          in
-          write_all payload;
-          let received = ref 0 in
-          let rec await () =
-            if !received < size then
-              match Posix.read posix fd buf 0 size with
-              | Ok 0 -> ()
-              | Ok n ->
-                  received := !received + n;
-                  await ()
-              | Error `Again ->
-                  let woke = ref false in
-                  Posix.epoll_wait_block posix epfd ~max:4 (fun _ ->
-                      woke := true);
-                  if Engine.run_until engine (fun () -> !woke) then await ()
-              | Error _ -> ()
-          in
-          await ();
-          Dk_sim.Histogram.record hist (Int64.sub (Engine.now engine) t0)
-        done;
-        Ok hist
-      end
+        let payload = String.make size 'e' in
+        (* A stream may return the echo in pieces; all but the last are
+           freed as they arrive. *)
+        let rec await got =
+          match D.pop t c with
+          | Error _ as e -> e
+          | Ok r as ok ->
+              let got = got + D.length r in
+              if got >= size then ok
+              else begin
+                D.free t r;
+                await got
+              end
+        in
+        let rec round i =
+          if i > rounds then Ok hist
+          else
+            match D.alloc t payload with
+            | Error e -> Error e
+            | Ok m -> (
+                let t0 = Engine.now engine in
+                match D.push t c m with
+                | Error e -> Error e
+                | Ok () -> (
+                    match await 0 with
+                    | Error e -> Error e
+                    | Ok last ->
+                        Dk_sim.Histogram.record hist
+                          (Int64.sub (Engine.now engine) t0);
+                        D.free t last;
+                        D.free t m;
+                        round (i + 1)))
+        in
+        let result = round 1 in
+        D.close t c;
+        result
+end
 
-(* ---- mTCP ---- *)
+module Over_demi = Make (Datapath.Demi)
+module Over_posix = Make (Datapath.Posix)
 
-let start_mtcp_server ~mtcp ~port =
-  Mtcp.listen mtcp ~port ~on_accept:(fun conn ->
-      Mtcp.set_on_readable conn (fun () ->
-          let data = Mtcp.recv conn (Mtcp.recv_ready conn) in
-          ignore (Mtcp.send conn data)))
+let start_demi_server ~demi ~port = Over_demi.start_server demi ~port
+let demi_rtt ~demi ~dst ~size ~rounds = Over_demi.rtt demi ~dst ~size ~rounds
+let start_posix_server ~posix ~port = Over_posix.start_server posix ~port
 
-let mtcp_rtt ~mtcp ~engine ~dst ~size ~rounds =
-  let conn = Mtcp.connect mtcp ~dst in
-  let connected = ref false in
-  Mtcp.set_on_connect conn (fun () -> connected := true);
-  ignore (Engine.run_until engine (fun () -> !connected));
-  let hist = Dk_sim.Histogram.create () in
-  let payload = String.make size 'm' in
-  for _ = 1 to rounds do
-    let t0 = Engine.now engine in
-    ignore (Mtcp.send conn payload);
-    let received = ref 0 in
-    ignore
-      (Engine.run_until engine (fun () ->
-           let avail = Mtcp.recv_ready conn in
-           if avail > 0 then begin
-             let got = Mtcp.recv conn avail in
-             received := !received + String.length got
-           end;
-           !received >= size));
-    Dk_sim.Histogram.record hist (Int64.sub (Engine.now engine) t0)
-  done;
-  hist
+let posix_rtt ~posix ~engine:_ ~dst ~size ~rounds =
+  Over_posix.rtt posix ~dst ~size ~rounds

@@ -4,12 +4,9 @@ module Engine = Dk_sim.Engine
 module Cost = Dk_sim.Cost
 module Prog = Dk_device.Prog
 
-type server = {
+type offload = {
   demi : Demi.t;
-  kv : Kv.t;
-  mutable served : int;
-  mutable udp_qd : Types.qd option;
-  udp_port : int option;
+  qd : Types.qd;
   offloaded : bool;
   populate : bool;
   cpu_pipeline : Prog.pipeline;
@@ -17,83 +14,86 @@ type server = {
          is not programmable; [] everywhere else *)
 }
 
-let app_work srv =
-  Engine.consume (Demi.engine srv.demi) (Demi.cost srv.demi).Cost.app_request
+type server = { kv : Kv.t; mutable served : int; offload : offload option }
 
-let answer srv qd sga =
-  app_work srv;
-  (match Proto.request_of_sga sga with
-  | Some req ->
-      let resp = Kv.apply_zero_copy srv.kv req in
-      (match Demi.push srv.demi qd resp with
-      | Ok tok -> Demi.watch srv.demi tok (fun _ -> ())
-      | Error _ -> ());
-      srv.served <- srv.served + 1
-  | None -> ());
-  Dk_mem.Sga.free sga
+type client_stats = {
+  ops : int;
+  hits : int;
+  misses : int;
+  latency : Dk_sim.Histogram.t;
+  elapsed_ns : int64;
+}
 
-let rec serve_conn srv qd =
-  match Demi.pop srv.demi qd with
-  | Error _ -> ()
-  | Ok tok ->
-      Demi.watch srv.demi tok (function
-        | Types.Popped sga ->
-            answer srv qd sga;
-            serve_conn srv qd
-        | Types.Failed _ -> (
-            (* best-effort teardown: the peer is already gone *)
-            match Demi.close srv.demi qd with Ok () | Error _ -> ())
-        | Types.Pushed | Types.Accepted _ -> ())
+let ( let* ) = Result.bind
 
-let rec accept_loop srv lqd =
-  match Demi.accept_async srv.demi lqd with
-  | Error _ -> ()
-  | Ok tok ->
-      Demi.watch srv.demi tok (function
-        | Types.Accepted qd ->
-            serve_conn srv qd;
-            accept_loop srv lqd
-        | Types.Failed _ -> ()
-        | Types.Pushed | Types.Popped _ -> ())
+module Tcp (D : Datapath.S) = struct
+  let start_server t ~port ~kv =
+    let srv = { kv; served = 0; offload = None } in
+    let engine = D.engine t and app_ns = (D.cost t).Cost.app_request in
+    let answer c m =
+      Engine.consume engine app_ns;
+      (match Proto.request_of_segments (D.segments m) with
+      | Some req ->
+          ignore (D.push t c (D.of_sga (Kv.apply_zero_copy kv req)));
+          srv.served <- srv.served + 1
+      | None -> ());
+      D.drop m
+    in
+    let* () = D.listen t ~port ~framed:true ~on_accept:answer in
+    Ok srv
 
-let start_tcp_server ~demi ~port ~kv =
-  let ( let* ) = Result.bind in
-  let* lqd = Demi.socket demi `Tcp in
-  let* () = Demi.bind demi lqd ~port in
-  let* () = Demi.listen demi lqd in
-  let srv =
-    {
-      demi;
-      kv;
-      served = 0;
-      udp_qd = None;
-      udp_port = None;
-      offloaded = false;
-      populate = false;
-      cpu_pipeline = [];
-    }
-  in
-  accept_loop srv lqd;
-  Ok srv
-
-let start_udp_server ~demi ~port ~kv =
-  let ( let* ) = Result.bind in
-  let* qd = Demi.socket demi `Udp in
-  let* () = Demi.bind demi qd ~port in
-  let srv =
-    {
-      demi;
-      kv;
-      served = 0;
-      udp_qd = Some qd;
-      udp_port = Some port;
-      offloaded = false;
-      populate = false;
-      cpu_pipeline = [];
-    }
-  in
-  serve_conn srv qd;
-  Ok srv
+  let run_client t ~dst ~ops ~keys ~value_size ~read_fraction
+      ?(zipf_theta = 0.99) ?(seed = 11L) () =
+    let* c = D.connect t ~dst ~framed:true in
+    let engine = D.engine t in
+    let wl =
+      Workload.create ~seed (Workload.Zipf { n = keys; theta = zipf_theta })
+    in
+    let rpc req =
+      let* () = D.push t c (D.of_sga (Proto.request_sga req)) in
+      D.pop t c
+    in
+    let rec preload i =
+      if i = keys then Ok ()
+      else
+        let* _ =
+          rpc (Proto.Set (Workload.key_name i, Workload.value wl ~size:value_size))
+        in
+        preload (i + 1)
+    in
+    let* () = preload 0 in
+    let latency = Dk_sim.Histogram.create () in
+    let hits = ref 0 and misses = ref 0 in
+    let start = Engine.now engine in
+    let rec run i =
+      if i = ops then Ok ()
+      else begin
+        let key = Workload.key_name (Workload.next_key wl) in
+        let req =
+          if Workload.is_get wl ~read_fraction then Proto.Get key
+          else Proto.Set (key, Workload.value wl ~size:value_size)
+        in
+        let t0 = Engine.now engine in
+        let* resp = rpc req in
+        Dk_sim.Histogram.record latency (Int64.sub (Engine.now engine) t0);
+        (match Proto.response_of_segments (D.segments resp) with
+        | Some (Proto.Value _) -> incr hits
+        | Some Proto.Not_found -> incr misses
+        | Some (Proto.Stored | Proto.Deleted) | None -> ());
+        D.drop resp;
+        run (i + 1)
+      end
+    in
+    let* () = run 0 in
+    Ok
+      {
+        ops;
+        hits = !hits;
+        misses = !misses;
+        latency;
+        elapsed_ns = Int64.sub (Engine.now engine) start;
+      }
+end
 
 (* ---- offloaded UDP server (single-datagram codec) ----
 
@@ -106,63 +106,62 @@ let start_udp_server ~demi ~port ~kv =
    entry. Without a programmable NIC the same pipeline stages run here
    on the host, priced by their static footprint. *)
 
-let push_flat srv qd s =
-  match Demi.push srv.demi qd (Dk_mem.Sga.of_strings [ s ]) with
-  | Ok tok -> Demi.watch srv.demi tok (fun _ -> ())
+let push_flat o s =
+  match Demi.push o.demi o.qd (Dk_mem.Sga.of_strings [ s ]) with
+  | Ok tok -> Demi.watch o.demi tok (fun _ -> ())
   | Error _ -> ()
 
-let answer_udp srv qd sga =
+let answer_udp srv o sga =
   let payload =
     String.concat "" (List.map Dk_mem.Buffer.to_string (Dk_mem.Sga.segments sga))
   in
   Dk_mem.Sga.free sga;
   let fallback_hit =
-    match srv.cpu_pipeline with
+    match o.cpu_pipeline with
     | [] -> None
     | p -> (
-        Engine.consume (Demi.engine srv.demi)
-          (Demi.pipeline_cpu_ns srv.demi p (String.length payload));
+        Engine.consume (Demi.engine o.demi)
+          (Demi.pipeline_cpu_ns o.demi p (String.length payload));
         match Prog.eval_pipeline ~lookup:(Kv.get_copy srv.kv) p payload with
         | Prog.Responded r -> Some r
         | Prog.Deliver _ | Prog.Dropped | Prog.Steered _ -> None)
   in
   match fallback_hit with
   | Some raw ->
-      push_flat srv qd raw;
+      push_flat o raw;
       srv.served <- srv.served + 1
   | None -> (
-      app_work srv;
+      Engine.consume (Demi.engine o.demi) (Demi.cost o.demi).Cost.app_request;
       match Proto.udp_request_of_string payload with
       | None -> ()
       | Some req ->
           let resp = Kv.apply srv.kv req in
           (match (req, resp) with
           | Proto.Set (k, v), Proto.Stored ->
-              ignore (Demi.offload_update srv.demi k v : bool)
+              ignore (Demi.offload_update o.demi k v : bool)
           | Proto.Del k, _ ->
-              ignore (Demi.offload_invalidate srv.demi k : bool)
-          | Proto.Get k, Proto.Value v when srv.populate && srv.offloaded -> (
-              match Demi.offload_insert srv.demi k v with
+              ignore (Demi.offload_invalidate o.demi k : bool)
+          | Proto.Get k, Proto.Value v when o.populate && o.offloaded -> (
+              match Demi.offload_insert o.demi k v with
               | Ok () | Error `Rejected -> ())
           | _ -> ());
-          push_flat srv qd (Proto.udp_response_string resp);
+          push_flat o (Proto.udp_response_string resp);
           srv.served <- srv.served + 1)
 
-let rec serve_udp srv qd =
-  match Demi.pop srv.demi qd with
+let rec serve_udp srv o =
+  match Demi.pop o.demi o.qd with
   | Error _ -> ()
   | Ok tok ->
-      Demi.watch srv.demi tok (function
+      Demi.watch o.demi tok (function
         | Types.Popped sga ->
-            answer_udp srv qd sga;
-            serve_udp srv qd
+            answer_udp srv o sga;
+            serve_udp srv o
         | Types.Failed _ -> (
-            match Demi.close srv.demi qd with Ok () | Error _ -> ())
+            match Demi.close o.demi o.qd with Ok () | Error _ -> ())
         | Types.Pushed | Types.Accepted _ -> ())
 
 let start_udp_offload_server ~demi ~port ~kv ?policy ?obs_prefix ?capacity
     ?(max_value = 4096) ?(populate = false) () =
-  let ( let* ) = Result.bind in
   let* qd = Demi.socket demi `Udp in
   let* () = Demi.bind demi qd ~port in
   let offloaded =
@@ -173,98 +172,17 @@ let start_udp_offload_server ~demi ~port ~kv ?policy ?obs_prefix ?capacity
     | Error _ -> false
   in
   let cpu_pipeline = if offloaded then [] else Demi.get_pipeline ~max_value in
-  let srv =
-    {
-      demi;
-      kv;
-      served = 0;
-      udp_qd = Some qd;
-      udp_port = Some port;
-      offloaded;
-      populate;
-      cpu_pipeline;
-    }
-  in
-  serve_udp srv qd;
+  let o = { demi; qd; offloaded; populate; cpu_pipeline } in
+  let srv = { kv; served = 0; offload = Some o } in
+  serve_udp srv o;
   Ok srv
 
-let server_offloaded srv = srv.offloaded
+let server_offloaded srv =
+  match srv.offload with Some o -> o.offloaded | None -> false
 
 let set_udp_peer srv peer =
-  match srv.udp_qd with
-  | Some qd -> Demi.connect srv.demi qd ~dst:peer
+  match srv.offload with
+  | Some o -> Demi.connect o.demi o.qd ~dst:peer
   | None -> Ok ()
 
 let requests_served srv = srv.served
-
-type client_stats = {
-  ops : int;
-  hits : int;
-  misses : int;
-  latency : Dk_sim.Histogram.t;
-  elapsed_ns : int64;
-}
-
-let rpc demi qd sga =
-  match Demi.blocking_push demi qd sga with
-  | Types.Pushed -> (
-      match Demi.blocking_pop demi qd with
-      | Types.Popped resp -> Some resp
-      | Types.Pushed | Types.Accepted _ | Types.Failed _ -> None)
-  | Types.Popped _ | Types.Accepted _ | Types.Failed _ -> None
-
-let run_tcp_client ~demi ~dst ~ops ~keys ~value_size ~read_fraction
-    ?(zipf_theta = 0.99) ?(seed = 11L) () =
-  let ( let* ) = Result.bind in
-  let* qd = Demi.socket demi `Tcp in
-  let* () = Demi.connect demi qd ~dst in
-  let engine = Demi.engine demi in
-  let wl = Workload.create ~seed (Workload.Zipf { n = keys; theta = zipf_theta }) in
-  let latency = Dk_sim.Histogram.create () in
-  let hits = ref 0 and misses = ref 0 in
-  (* preload *)
-  let preload_failed = ref false in
-  for i = 0 to keys - 1 do
-    if not !preload_failed then begin
-      let req =
-        Proto.Set (Workload.key_name i, Workload.value wl ~size:value_size)
-      in
-      match rpc demi qd (Proto.request_sga req) with
-      | Some _ -> ()
-      | None -> preload_failed := true
-    end
-  done;
-  if !preload_failed then Error `Queue_closed
-  else begin
-    let start = Engine.now engine in
-    let aborted = ref false in
-    for _ = 1 to ops do
-      if not !aborted then begin
-        let key = Workload.key_name (Workload.next_key wl) in
-        let req =
-          if Workload.is_get wl ~read_fraction then Proto.Get key
-          else Proto.Set (key, Workload.value wl ~size:value_size)
-        in
-        let t0 = Engine.now engine in
-        match rpc demi qd (Proto.request_sga req) with
-        | Some resp ->
-            Dk_sim.Histogram.record latency (Int64.sub (Engine.now engine) t0);
-            (match Proto.response_of_sga resp with
-            | Some (Proto.Value _) -> incr hits
-            | Some Proto.Not_found -> incr misses
-            | Some (Proto.Stored | Proto.Deleted) | None -> ());
-            Dk_mem.Sga.free resp
-        | None -> aborted := true
-      end
-    done;
-    if !aborted then Error `Queue_closed
-    else
-      Ok
-        {
-          ops;
-          hits = !hits;
-          misses = !misses;
-          latency;
-          elapsed_ns = Int64.sub (Engine.now engine) start;
-        }
-  end

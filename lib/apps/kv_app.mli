@@ -1,23 +1,47 @@
-(** Redis-like server and closed-loop client on the Demikernel API.
+(** Redis-like key-value server and closed-loop client.
 
-    The server is callback-driven: it keeps one outstanding pop per
-    connection and answers with zero-copy responses
-    ({!Kv.apply_zero_copy}); each request charges
-    [Cost.app_request] of application work (the paper's ~2 µs Redis
-    figure). The client drives the simulation with blocking waits and
-    records per-operation latency. *)
+    The TCP server and client are written once over {!Datapath.S} and
+    run on Demikernel queues and on POSIX sockets alike; requests and
+    responses are {!Proto} segment lists, framed by the datapath where
+    it is a byte stream. The server is callback-driven and charges
+    [Cost.app_request] of application work per request (the paper's
+    ~2 µs Redis figure). It builds responses with
+    {!Kv.apply_zero_copy}, so on Demikernel a GET hit shares the stored
+    value buffer; a stream datapath copies it onto the wire. The client
+    preloads every key with one SET pass, then runs its operations
+    closed-loop and records each one's latency.
+
+    The offloaded UDP server below is Demikernel-only: it serves GET
+    hits from the NIC. *)
 
 type server
 
-val start_tcp_server :
-  demi:Demikernel.Demi.t -> port:int -> kv:Kv.t -> (server, Demikernel.Types.error) result
+val requests_served : server -> int
 
-val start_udp_server :
-  demi:Demikernel.Demi.t -> port:int -> kv:Kv.t -> (server, Demikernel.Types.error) result
-(** Single-peer UDP server: replies go to the configured peer (set it
-    with [Demi.connect] on the same port before traffic flows, or rely
-    on the client being the only sender). For the UDP server to answer,
-    its queue's peer must be set via {!set_udp_peer}. *)
+type client_stats = {
+  ops : int;
+  hits : int;
+  misses : int;
+  latency : Dk_sim.Histogram.t; (** per-op round trip, ns *)
+  elapsed_ns : int64;
+}
+
+module Tcp (D : Datapath.S) : sig
+  val start_server : D.t -> port:int -> kv:Kv.t -> (server, D.error) result
+
+  val run_client :
+    D.t ->
+    dst:Dk_net.Addr.endpoint ->
+    ops:int ->
+    keys:int ->
+    value_size:int ->
+    read_fraction:float ->
+    ?zipf_theta:float ->
+    ?seed:int64 ->
+    unit ->
+    (client_stats, D.error) result
+  (** An error as soon as a request gets no response. *)
+end
 
 val start_udp_offload_server :
   demi:Demikernel.Demi.t ->
@@ -49,26 +73,4 @@ val server_offloaded : server -> bool
 
 val set_udp_peer :
   server -> Dk_net.Addr.endpoint -> (unit, Demikernel.Types.error) result
-val requests_served : server -> int
-
-type client_stats = {
-  ops : int;
-  hits : int;
-  misses : int;
-  latency : Dk_sim.Histogram.t; (** per-op round trip, ns *)
-  elapsed_ns : int64;
-}
-
-val run_tcp_client :
-  demi:Demikernel.Demi.t ->
-  dst:Dk_net.Addr.endpoint ->
-  ops:int ->
-  keys:int ->
-  value_size:int ->
-  read_fraction:float ->
-  ?zipf_theta:float ->
-  ?seed:int64 ->
-  unit ->
-  (client_stats, Demikernel.Types.error) result
-(** Pre-populates every key with one SET pass, then runs [ops]
-    operations closed-loop. *)
+(** Point the offloaded UDP server's replies at its client. *)

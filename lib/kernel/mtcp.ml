@@ -14,12 +14,17 @@ type conn = {
   rx : Dk_util.Ring.t; (* batch-delivered received bytes *)
   mutable tx : string; (* bytes awaiting the next flush batch *)
   mutable flush_scheduled : bool;
+  mutable closed : bool;
   mutable on_connect : unit -> unit;
   mutable on_readable : unit -> unit;
+  mutable on_close : Tcp.close_reason -> unit;
 }
 
 let create ~engine ~cost ~stack () =
   { engine; cost; stack; bytes_copied = 0 }
+
+let engine t = t.engine
+let cost t = t.cost
 
 let charge_copy t n =
   t.bytes_copied <- t.bytes_copied + n;
@@ -45,7 +50,10 @@ let wire conn =
         let n = Tcp.send conn.tcp conn.tx in
         conn.tx <- String.sub conn.tx n (String.length conn.tx - n)
       end);
-  Tcp.set_on_connect conn.tcp (fun () -> conn.on_connect ())
+  Tcp.set_on_connect conn.tcp (fun () -> conn.on_connect ());
+  Tcp.set_on_close conn.tcp (fun reason ->
+      conn.closed <- true;
+      conn.on_close reason)
 
 let make owner tcp =
   let conn =
@@ -55,8 +63,10 @@ let make owner tcp =
       rx = Dk_util.Ring.create (1 lsl 20);
       tx = "";
       flush_scheduled = false;
+      closed = false;
       on_connect = (fun () -> ());
       on_readable = (fun () -> ());
+      on_close = (fun _ -> ());
     }
   in
   wire conn;
@@ -68,8 +78,10 @@ let listen t ~port ~on_accept =
 
 let connect t ~dst = make t (Stack.tcp_connect t.stack ~dst)
 
+(* A closed conn never drains [tx]; re-arming for it would keep the
+   engine's queue non-empty forever. *)
 let rec schedule_flush conn =
-  if not conn.flush_scheduled then begin
+  if not (conn.flush_scheduled || conn.closed) then begin
     conn.flush_scheduled <- true;
     let t = conn.owner in
     ignore
@@ -83,10 +95,13 @@ let rec schedule_flush conn =
   end
 
 let send conn data =
-  charge_copy conn.owner (String.length data);
-  conn.tx <- conn.tx ^ data;
-  schedule_flush conn;
-  String.length data
+  if conn.closed then 0
+  else begin
+    charge_copy conn.owner (String.length data);
+    conn.tx <- conn.tx ^ data;
+    schedule_flush conn;
+    String.length data
+  end
 
 let recv_ready conn = Dk_util.Ring.length conn.rx
 
@@ -99,5 +114,6 @@ let recv conn n =
 
 let set_on_connect conn f = conn.on_connect <- f
 let set_on_readable conn f = conn.on_readable <- f
+let set_on_close conn f = conn.on_close <- f
 let close conn = Tcp.close conn.tcp
 let bytes_copied t = t.bytes_copied

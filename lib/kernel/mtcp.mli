@@ -21,6 +21,9 @@ val create :
 (** [stack] keeps its user-level per-packet cost: mTCP's stack runs in
     user space. *)
 
+val engine : t -> Dk_sim.Engine.t
+val cost : t -> Dk_sim.Cost.t
+
 val listen :
   t -> port:int -> on_accept:(conn -> unit) -> (unit, [ `In_use ]) result
 
@@ -28,13 +31,19 @@ val connect : t -> dst:Dk_net.Addr.endpoint -> conn
 
 val send : conn -> string -> int
 (** Copies into the batch buffer; flushed to the wire one batch delay
-    later. Returns bytes accepted. *)
+    later. Returns bytes accepted: all of them, or 0 once the
+    connection has closed. *)
 
 val recv_ready : conn -> int
 val recv : conn -> int -> string
 
 val set_on_connect : conn -> (unit -> unit) -> unit
 val set_on_readable : conn -> (unit -> unit) -> unit
+
+val set_on_close : conn -> (Dk_net.Tcp.close_reason -> unit) -> unit
+(** Fires when the underlying TCP connection closes — [`Reset] for a
+    connect refused by the peer. Pending batch flushes stop then. *)
+
 val close : conn -> unit
 
 val bytes_copied : t -> int

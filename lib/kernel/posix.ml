@@ -48,6 +48,9 @@ let create ~engine ~cost ~stack () =
     blocked = [];
   }
 
+let engine t = t.engine
+let cost t = t.cost
+
 let charge_syscall t =
   t.syscalls <- t.syscalls + 1;
   Dk_sim.Engine.consume t.engine t.cost.Dk_sim.Cost.syscall

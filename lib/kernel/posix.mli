@@ -26,6 +26,9 @@ val create :
 (** [stack] should be created with
     [~pkt_cost:cost.kernel_net_per_pkt] to model the in-kernel stack. *)
 
+val engine : t -> Dk_sim.Engine.t
+val cost : t -> Dk_sim.Cost.t
+
 (** {2 Sockets} *)
 
 val socket : t -> fd

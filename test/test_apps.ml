@@ -14,8 +14,11 @@ module Workload = Dk_apps.Workload
 module Proto = Dk_apps.Proto
 module Kv = Dk_apps.Kv
 module Kv_app = Dk_apps.Kv_app
-module Kv_posix = Dk_apps.Kv_posix
+module Datapath = Dk_apps.Datapath
+module Kv_demi = Kv_app.Tcp (Datapath.Demi)
+module Kv_posix = Kv_app.Tcp (Datapath.Posix)
 module Echo = Dk_apps.Echo
+module Echo_mtcp = Echo.Make (Datapath.Mtcp)
 module Setup = Dk_apps.Sim_setup
 module Demi = Demikernel.Demi
 
@@ -160,12 +163,12 @@ let demi_kv_end_to_end () =
   let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
   let kv = Kv.create (Demi.manager db) in
   let srv =
-    match Kv_app.start_tcp_server ~demi:db ~port:6379 ~kv with
+    match Kv_demi.start_server db ~port:6379 ~kv with
     | Ok s -> s
     | Error _ -> Alcotest.fail "server"
   in
   match
-    Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint duo.Setup.b 6379)
+    Kv_demi.run_client da ~dst:(Setup.endpoint duo.Setup.b 6379)
       ~ops:200 ~keys:50 ~value_size:64 ~read_fraction:0.9 ()
   with
   | Error _ -> Alcotest.fail "client"
@@ -183,23 +186,19 @@ let posix_kv_end_to_end () =
   let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
   let kv = Kv.create (Dk_mem.Manager.create ()) in
   let srv =
-    match
-      Kv_posix.start_server ~posix:pb ~cost:duo.Setup.cost
-        ~engine:duo.Setup.engine ~port:6379 ~kv
-    with
+    match Kv_posix.start_server pb ~port:6379 ~kv with
     | Ok s -> s
     | Error _ -> Alcotest.fail "server"
   in
   match
-    Kv_posix.run_client ~posix:pa ~cost:duo.Setup.cost ~engine:duo.Setup.engine
-      ~dst:(Setup.endpoint duo.Setup.b 6379) ~ops:100 ~keys:20 ~value_size:64
-      ~read_fraction:0.9 ()
+    Kv_posix.run_client pa ~dst:(Setup.endpoint duo.Setup.b 6379) ~ops:100
+      ~keys:20 ~value_size:64 ~read_fraction:0.9 ()
   with
   | Error _ -> Alcotest.fail "client"
   | Ok stats ->
       check_int "all ops" 100 stats.Kv_app.ops;
       check_int "no misses" 0 stats.Kv_app.misses;
-      check_bool "server processed" true (Kv_posix.requests_served srv >= 120)
+      check_bool "server processed" true (Kv_app.requests_served srv >= 120)
 
 (* The portability claim, end to end: the *identical* application code
    (Kv_app server and client, written against the Demikernel interface)
@@ -217,12 +216,12 @@ let kernel_fallback_libos_runs_same_app () =
   in
   let kv = Kv.create (Demi.manager db) in
   let srv =
-    match Kv_app.start_tcp_server ~demi:db ~port:6379 ~kv with
+    match Kv_demi.start_server db ~port:6379 ~kv with
     | Ok s -> s
     | Error e -> Alcotest.failf "server: %s" (Demikernel.Types.error_to_string e)
   in
   match
-    Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint duo.Setup.b 6379)
+    Kv_demi.run_client da ~dst:(Setup.endpoint duo.Setup.b 6379)
       ~ops:100 ~keys:20 ~value_size:64 ~read_fraction:0.9 ()
   with
   | Error e -> Alcotest.failf "client: %s" (Demikernel.Types.error_to_string e)
@@ -240,9 +239,9 @@ let fallback_slower_than_bypass () =
     let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
     let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
     let kv = Kv.create (Demi.manager db) in
-    ignore (Kv_app.start_tcp_server ~demi:db ~port:1 ~kv);
+    ignore (Kv_demi.start_server db ~port:1 ~kv);
     match
-      Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint duo.Setup.b 1)
+      Kv_demi.run_client da ~dst:(Setup.endpoint duo.Setup.b 1)
         ~ops:50 ~keys:10 ~value_size:256 ~read_fraction:1.0 ()
     with
     | Ok s -> Dk_sim.Histogram.quantile s.Kv_app.latency 0.5
@@ -255,9 +254,9 @@ let fallback_slower_than_bypass () =
     let da = Demi.create ~engine:duo.Setup.engine ~cost:duo.Setup.cost ~posix:pa () in
     let db = Demi.create ~engine:duo.Setup.engine ~cost:duo.Setup.cost ~posix:pb () in
     let kv = Kv.create (Demi.manager db) in
-    ignore (Kv_app.start_tcp_server ~demi:db ~port:1 ~kv);
+    ignore (Kv_demi.start_server db ~port:1 ~kv);
     match
-      Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint duo.Setup.b 1)
+      Kv_demi.run_client da ~dst:(Setup.endpoint duo.Setup.b 1)
         ~ops:50 ~keys:10 ~value_size:256 ~read_fraction:1.0 ()
     with
     | Ok s -> Dk_sim.Histogram.quantile s.Kv_app.latency 0.5
@@ -273,9 +272,9 @@ let kv_latency_shape () =
     let da = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a () in
     let db = Setup.demi_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b () in
     let kv = Kv.create (Demi.manager db) in
-    ignore (Kv_app.start_tcp_server ~demi:db ~port:1 ~kv);
+    ignore (Kv_demi.start_server db ~port:1 ~kv);
     match
-      Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint duo.Setup.b 1)
+      Kv_demi.run_client da ~dst:(Setup.endpoint duo.Setup.b 1)
         ~ops:100 ~keys:20 ~value_size:1024 ~read_fraction:1.0 ()
     with
     | Ok s -> Dk_sim.Histogram.quantile s.Kv_app.latency 0.5
@@ -286,12 +285,9 @@ let kv_latency_shape () =
     let pa = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
     let pb = Setup.posix_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
     let kv = Kv.create (Dk_mem.Manager.create ()) in
-    ignore
-      (Kv_posix.start_server ~posix:pb ~cost:duo.Setup.cost
-         ~engine:duo.Setup.engine ~port:1 ~kv);
+    ignore (Kv_posix.start_server pb ~port:1 ~kv);
     match
-      Kv_posix.run_client ~posix:pa ~cost:duo.Setup.cost
-        ~engine:duo.Setup.engine ~dst:(Setup.endpoint duo.Setup.b 1) ~ops:100
+      Kv_posix.run_client pa ~dst:(Setup.endpoint duo.Setup.b 1) ~ops:100
         ~keys:20 ~value_size:1024 ~read_fraction:1.0 ()
     with
     | Ok s -> Dk_sim.Histogram.quantile s.Kv_app.latency 0.5
@@ -370,15 +366,69 @@ let echo_three_way_latency_order () =
     let duo = Setup.two_hosts () in
     let ma = Setup.mtcp_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.a in
     let mb = Setup.mtcp_of_host ~engine:duo.Setup.engine ~cost:duo.Setup.cost duo.Setup.b in
-    ignore (Echo.start_mtcp_server ~mtcp:mb ~port:7);
-    let h =
-      Echo.mtcp_rtt ~mtcp:ma ~engine:duo.Setup.engine
-        ~dst:(Setup.endpoint duo.Setup.b 7) ~size:64 ~rounds:20
-    in
-    Dk_sim.Histogram.quantile h 0.5
+    ignore (Echo_mtcp.start_server mb ~port:7);
+    match
+      Echo_mtcp.rtt ma ~dst:(Setup.endpoint duo.Setup.b 7) ~size:64 ~rounds:20
+    with
+    | Ok h -> Dk_sim.Histogram.quantile h 0.5
+    | Error _ -> Alcotest.fail "mtcp echo"
   in
   check_bool "demikernel < kernel" true (Int64.compare demi_rtt posix_rtt < 0);
   check_bool "kernel < mtcp (latency)" true (Int64.compare posix_rtt mtcp_rtt < 0)
+
+(* A connect to a port with no listener is an error on every datapath,
+   for the bare connect and for the echo client; the mTCP client used
+   to spin forever instead. *)
+let dead_port_fails () =
+  let refused (type a) name (module D : Datapath.S with type t = a) =
+    let module E = Echo.Make (D) in
+    let w = Datapath.two_hosts (module D) in
+    let dst = Datapath.server_endpoint w 9 in
+    check_bool (name ^ " connect") true
+      (Result.is_error (D.connect w.Datapath.client ~dst ~framed:false));
+    check_bool (name ^ " echo") true
+      (Result.is_error (E.rtt w.Datapath.client ~dst ~size:64 ~rounds:1))
+  in
+  refused "demikernel" (module Datapath.Demi);
+  refused "posix" (module Datapath.Posix);
+  refused "mtcp" (module Datapath.Mtcp)
+
+(* The bench tables are the contract down to one syscall, finer than
+   bench_diff's 1.25x bound: E1's 64 B p50s (kernel 22144 ns with 128
+   bytes copied per round trip, bypass 3612 ns) and E9's five server
+   syscalls per kv request (epoll_wait, a read, the read that finds the
+   socket empty, write, epoll_add), through the generic apps. The kv
+   count is the difference of two runs, so connection setup cancels. *)
+let datapath_contract () =
+  let echo (type a) (module D : Datapath.S with type t = a) =
+    let module E = Echo.Make (D) in
+    let w = Datapath.two_hosts (module D) in
+    ignore (E.start_server w.Datapath.server ~port:7);
+    match
+      E.rtt w.Datapath.client ~dst:(Datapath.server_endpoint w 7) ~size:64
+        ~rounds:50
+    with
+    | Ok h -> (Dk_sim.Histogram.quantile h 0.5, D.io_stats w.Datapath.client)
+    | Error _ -> Alcotest.fail "echo"
+  in
+  let kernel_p50, kernel_io = echo (module Datapath.Posix) in
+  check Alcotest.int64 "kernel p50" 22144L kernel_p50;
+  check_int "kernel copied B per round trip" 128
+    (kernel_io.Dk_kernel.Posix.bytes_copied / 50);
+  check Alcotest.int64 "bypass p50" 3612L (fst (echo (module Datapath.Demi)));
+  let server_syscalls ops =
+    let w = Datapath.two_hosts (module Datapath.Posix) in
+    let kv = Kv.create (Datapath.Posix.manager w.Datapath.server) in
+    ignore (Kv_posix.start_server w.Datapath.server ~port:1 ~kv);
+    match
+      Kv_posix.run_client w.Datapath.client ~dst:(Datapath.server_endpoint w 1)
+        ~ops ~keys:10 ~value_size:1024 ~read_fraction:0.9 ()
+    with
+    | Ok _ -> (Datapath.Posix.io_stats w.Datapath.server).Dk_kernel.Posix.syscalls
+    | Error _ -> Alcotest.fail "kv"
+  in
+  check_int "server syscalls per kv request" (5 * 40)
+    (server_syscalls 60 - server_syscalls 20)
 
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
@@ -415,5 +465,7 @@ let () =
           Alcotest.test_case "kv latency shape" `Quick kv_latency_shape;
           Alcotest.test_case "echo latency order" `Quick echo_three_way_latency_order;
           Alcotest.test_case "echo host alloc gate" `Quick echo_host_alloc_gate;
+          Alcotest.test_case "dead port fails" `Quick dead_port_fails;
+          Alcotest.test_case "datapath contract" `Quick datapath_contract;
         ] );
     ]

@@ -19,6 +19,7 @@ module Setup = Dk_apps.Sim_setup
 module Echo = Dk_apps.Echo
 module Kv = Dk_apps.Kv
 module Kv_app = Dk_apps.Kv_app
+module Kv_tcp = Kv_app.Tcp (Dk_apps.Datapath.Demi)
 module Demi = Demikernel.Demi
 module Types = Demikernel.Types
 
@@ -136,11 +137,11 @@ let run_kv () =
   let da = Setup.demi_of_host ~engine ~cost duo.Setup.a () in
   let db = Setup.demi_of_host ~engine ~cost duo.Setup.b () in
   let kv = Kv.create (Demi.manager db) in
-  (match Kv_app.start_tcp_server ~demi:db ~port:6379 ~kv with
+  (match Kv_tcp.start_server db ~port:6379 ~kv with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "kv server: %s" (Types.error_to_string e));
   let r =
-    Kv_app.run_tcp_client ~demi:da ~dst:(Setup.endpoint duo.Setup.b 6379)
+    Kv_tcp.run_client da ~dst:(Setup.endpoint duo.Setup.b 6379)
       ~ops:200 ~keys:50 ~value_size:64 ~read_fraction:0.9 ()
   in
   (r, Engine.now engine)

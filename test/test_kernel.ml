@@ -13,6 +13,7 @@ module Posix = Dk_kernel.Posix
 module Vfs = Dk_kernel.Vfs
 module Mtcp = Dk_kernel.Mtcp
 module Setup = Dk_apps.Sim_setup
+module Echo_mtcp = Dk_apps.Echo.Make (Dk_apps.Datapath.Mtcp)
 
 let cost = Cost.default
 
@@ -276,11 +277,10 @@ let mtcp_roundtrip () =
   let engine = duo.Setup.engine in
   let ma = Setup.mtcp_of_host ~engine ~cost:duo.Setup.cost duo.Setup.a in
   let mb = Setup.mtcp_of_host ~engine ~cost:duo.Setup.cost duo.Setup.b in
-  check_bool "listen" true
-    (Dk_apps.Echo.start_mtcp_server ~mtcp:mb ~port:7 = Ok ());
+  check_bool "listen" true (Echo_mtcp.start_server mb ~port:7 = Ok ());
   let hist =
-    Dk_apps.Echo.mtcp_rtt ~mtcp:ma ~engine ~dst:(Setup.endpoint duo.Setup.b 7)
-      ~size:64 ~rounds:10
+    Result.get_ok
+      (Echo_mtcp.rtt ma ~dst:(Setup.endpoint duo.Setup.b 7) ~size:64 ~rounds:10)
   in
   check_int "ten rounds" 10 (Dk_sim.Histogram.count hist)
 
@@ -302,10 +302,8 @@ let mtcp_copies_charged () =
   let engine = duo.Setup.engine in
   let ma = Setup.mtcp_of_host ~engine ~cost:duo.Setup.cost duo.Setup.a in
   let mb = Setup.mtcp_of_host ~engine ~cost:duo.Setup.cost duo.Setup.b in
-  ignore (Dk_apps.Echo.start_mtcp_server ~mtcp:mb ~port:7);
-  ignore
-    (Dk_apps.Echo.mtcp_rtt ~mtcp:ma ~engine ~dst:(Setup.endpoint duo.Setup.b 7)
-       ~size:1024 ~rounds:5);
+  ignore (Echo_mtcp.start_server mb ~port:7);
+  ignore (Echo_mtcp.rtt ma ~dst:(Setup.endpoint duo.Setup.b 7) ~size:1024 ~rounds:5);
   (* POSIX-style semantics: data crossed the API by copy, twice per rtt *)
   check_bool "copies charged" true (Mtcp.bytes_copied ma >= 2 * 5 * 1024)
 
@@ -315,14 +313,29 @@ let mtcp_latency_exceeds_batch_delays () =
   let engine = duo.Setup.engine in
   let ma = Setup.mtcp_of_host ~engine ~cost:duo.Setup.cost duo.Setup.a in
   let mb = Setup.mtcp_of_host ~engine ~cost:duo.Setup.cost duo.Setup.b in
-  ignore (Dk_apps.Echo.start_mtcp_server ~mtcp:mb ~port:7 = Ok ());
+  ignore (Echo_mtcp.start_server mb ~port:7 = Ok ());
   let hist =
-    Dk_apps.Echo.mtcp_rtt ~mtcp:ma ~engine ~dst:(Setup.endpoint duo.Setup.b 7)
-      ~size:64 ~rounds:5
+    Result.get_ok
+      (Echo_mtcp.rtt ma ~dst:(Setup.endpoint duo.Setup.b 7) ~size:64 ~rounds:5)
   in
   let floor = Int64.mul 2L cost.Cost.mtcp_batch_delay in
   check_bool "rtt over 2 batch delays" true
     (Int64.compare (Dk_sim.Histogram.min hist) floor >= 0)
+
+(* A send to a peer that refused the connection must not keep its batch
+   flush re-arming forever: the engine runs dry. *)
+let mtcp_refused_send_drains () =
+  let duo = Setup.two_hosts () in
+  let engine = duo.Setup.engine in
+  let ma = Setup.mtcp_of_host ~engine ~cost:duo.Setup.cost duo.Setup.a in
+  let conn = Mtcp.connect ma ~dst:(Setup.endpoint duo.Setup.b 9) in
+  let reason = ref None in
+  Mtcp.set_on_close conn (fun r -> reason := Some r);
+  ignore (Mtcp.send conn "x");
+  let rec drains n = n > 0 && ((not (Engine.step engine)) || drains (n - 1)) in
+  check_bool "engine drains" true (drains 100_000);
+  check_bool "reset" true (!reason = Some `Reset);
+  check_int "closed conn takes nothing" 0 (Mtcp.send conn "y")
 
 let () =
   Alcotest.run "dk_kernel"
@@ -361,5 +374,6 @@ let () =
           Alcotest.test_case "roundtrip" `Quick mtcp_roundtrip;
           Alcotest.test_case "copies charged" `Quick mtcp_copies_charged;
           Alcotest.test_case "batch latency floor" `Quick mtcp_latency_exceeds_batch_delays;
+          Alcotest.test_case "refused send drains" `Quick mtcp_refused_send_drains;
         ] );
     ]

@@ -23,6 +23,11 @@
    datapath changes, which should land with regenerated baselines and
    an explanation. BENCH_micro.json is wall-clock and never compared.
 
+   Before the gate, a drift report prints every table cell and every
+   obs value that differs from the baseline (or exists on one side
+   only), one line each. Drift never fails the run; it makes a claim
+   that a change left the benches byte-identical checkable.
+
    No JSON library in the switch: the minimal reader below mirrors the
    one in test/test_obs.ml. *)
 
@@ -199,12 +204,9 @@ let member k = function
 let as_arr = function Arr l -> l | _ -> raise (Bad "expected array")
 let as_str = function Str s -> s | _ -> raise (Bad "expected string")
 
-(* [(metric key, (value, is_percentile))] for every ns-column cell of
-   every table. The key embeds the table index, column header and the
-   row's first cell (its label), so renumbered rows do not silently
-   compare the wrong cells. *)
-let headline_metrics path =
-  let doc = parse_json (read_file path) in
+(* [(table index, row index, row label, column header, cell)] for
+   every cell of every table; a row's label is its first cell. *)
+let table_cells doc =
   let tables = match member "tables" doc with Some t -> as_arr t | None -> [] in
   List.concat
     (List.mapi
@@ -218,26 +220,76 @@ let headline_metrics path =
            match member "rows" table with Some r -> as_arr r | None -> []
          in
          List.concat
-           (List.map
-              (fun row ->
+           (List.mapi
+              (fun ri row ->
                 let cells = List.map as_str (as_arr row) in
                 let label = match cells with l :: _ -> l | [] -> "?" in
                 List.concat
                   (List.mapi
                      (fun ci cell ->
                        match List.nth_opt head ci with
-                       | Some h when is_ns_header h -> (
-                           match float_of_string_opt cell with
-                           | Some v ->
-                               [
-                                 ( Printf.sprintf "t%d[%s].%s" ti label h,
-                                   (v, is_pctl_header h) );
-                               ]
-                           | None -> [])
-                       | _ -> [])
+                       | Some h -> [ (ti, ri, label, h, cell) ]
+                       | None -> [])
                      cells))
               rows))
        tables)
+
+(* [(metric key, (value, is_percentile))] for every ns-column cell of
+   every table. The key embeds the table index, column header and the
+   row's first cell (its label), so renumbered rows do not silently
+   compare the wrong cells. *)
+let headline_metrics doc =
+  List.filter_map
+    (fun (ti, _, label, h, cell) ->
+      if not (is_ns_header h) then None
+      else
+        Option.map
+          (fun v -> (Printf.sprintf "t%d[%s].%s" ti label h, (v, is_pctl_header h)))
+          (float_of_string_opt cell))
+    (table_cells doc)
+
+(* ---- drift report ----
+   Every table cell and every leaf of the obs snapshot, keyed by where
+   it sits. A deterministic simulation reproduces its baselines
+   exactly, so any difference here is a behaviour change, even one the
+   ratio gates let through; it is printed, not failed on. *)
+
+let rec leaves prefix = function
+  | Obj fields -> List.concat_map (fun (k, v) -> leaves (prefix ^ "." ^ k) v) fields
+  | Arr l -> List.concat (List.mapi (fun i v -> leaves (Printf.sprintf "%s[%d]" prefix i) v) l)
+  | Str s -> [ (prefix, s) ]
+  | Num f -> [ (prefix, Printf.sprintf "%.17g" f) ]
+  | Bool b -> [ (prefix, string_of_bool b) ]
+  | Null -> [ (prefix, "null") ]
+
+let values doc =
+  List.map
+    (fun (ti, ri, label, h, cell) -> (Printf.sprintf "t%d.r%d[%s].%s" ti ri label h, cell))
+    (table_cells doc)
+  @ match member "obs" doc with Some o -> leaves "obs" o | None -> []
+
+(* Prints one line per changed, added or removed value; returns how
+   many. *)
+let report_drift file base fresh =
+  let drifted = ref 0 in
+  let report key b f =
+    Printf.printf "drift %s %s: %s -> %s\n" file key b f;
+    incr drifted
+  in
+  let fresh_tbl = Hashtbl.create 256 and base_tbl = Hashtbl.create 256 in
+  List.iter (fun (k, v) -> Hashtbl.replace fresh_tbl k v) fresh;
+  List.iter (fun (k, v) -> Hashtbl.replace base_tbl k v) base;
+  List.iter
+    (fun (k, b) ->
+      match Hashtbl.find_opt fresh_tbl k with
+      | Some f when String.equal f b -> ()
+      | Some f -> report k b f
+      | None -> report k b "(absent)")
+    base;
+  List.iter
+    (fun (k, f) -> if not (Hashtbl.mem base_tbl k) then report k "(absent)" f)
+    fresh;
+  !drifted
 
 let () =
   let baseline_dir, fresh_dir, max_ratio, pctl_ratio =
@@ -264,6 +316,7 @@ let () =
     exit 2);
   let failures = ref 0 in
   let compared = ref 0 in
+  let drifted = ref 0 in
   List.iter
     (fun file ->
       let bpath = Filename.concat baseline_dir file in
@@ -272,8 +325,11 @@ let () =
         Printf.eprintf "FAIL %s: fresh run produced no %s\n" file file;
         incr failures)
       else
-        let base = headline_metrics bpath in
-        let fresh = headline_metrics fpath in
+        let bdoc = parse_json (read_file bpath) in
+        let fdoc = parse_json (read_file fpath) in
+        drifted := !drifted + report_drift file (values bdoc) (values fdoc);
+        let base = headline_metrics bdoc in
+        let fresh = headline_metrics fdoc in
         List.iter
           (fun (key, (bv, pctl)) ->
             match List.assoc_opt key fresh with
@@ -293,6 +349,8 @@ let () =
                   incr failures))
           base)
     baselines;
+  Printf.printf "bench_diff: %d value(s) drifted from the baselines (report only)\n"
+    !drifted;
   Printf.printf "bench_diff: %d headline metrics compared across %d files, %d regression(s)\n"
     !compared (List.length baselines) !failures;
   if !failures > 0 then exit 1
