@@ -772,7 +772,7 @@ let shardcheck_run json dirs =
     Printf.printf
       "\n%d source file(s), %d module-level global(s), %d unclassified, %d \
        raw finding(s)\n\
-       (`dune build @shard` applies tools/shard/allowlist.txt and gates CI)\n"
+       (`dune build @lint` applies tools/analysis/allowlist.txt and gates CI)\n"
       files (List.length inv) unclassified
       (List.length (Shard_engine.findings prog))
   end
@@ -810,7 +810,7 @@ let hotcheck_run json dirs =
     Printf.printf
       "\n%d source file(s), %d hot root(s); raw findings: %d hot-alloc, %d \
        hot-complexity, %d hot-poly, %d hot-annotation\n\
-       (`dune build @hot` applies tools/hot/allowlist.txt and gates CI)\n"
+       (`dune build @lint` applies tools/analysis/allowlist.txt and gates CI)\n"
       files (List.length inv) (count "hot-alloc") (count "hot-complexity")
       (count "hot-poly") (count "hot-annotation")
   end

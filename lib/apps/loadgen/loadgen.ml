@@ -83,6 +83,7 @@ type station = {
   mutable n_active : int;
   pend : pendreq Queue.t;  (* bounded at qcap *)
   idle : Types.qd Queue.t;  (* parked trunks *)
+  mutable trunks : int;  (* open trunks: idle, busy or stalled *)
   mutable shutting : bool;
   (* Offered-side tallies (mirrored into Dk_obs counters below; kept as
      plain fields too so stats are exact even when the shared registry
@@ -279,6 +280,10 @@ let preload (scn : Scenario.t) sh =
 
 (* ---- trunk pump: issue, complete, pump the bounded queue ---- *)
 
+let hang_up st qd =
+  st.trunks <- st.trunks - 1;
+  match Demi.close (Shard.demi_client st.sh) qd with Ok () | Error _ -> ()
+
 let rec issue t j qd p =
   let st = t.stations.(j) in
   let demi = Shard.demi_client st.sh in
@@ -321,16 +326,17 @@ let rec issue t j qd p =
             end
             else pump t j qd
         | Types.Failed _ -> (
+            (* Closed inline, not through [hang_up]: that keeps this
+               callback's closure, and with it kv-open's exact minor
+               words per op, as they were. *)
+            st.trunks <- st.trunks - 1;
             match Demi.close demi qd with Ok () | Error _ -> ())
         | Types.Pushed | Types.Accepted _ -> ())
 
 and pump t j qd =
   let st = t.stations.(j) in
   if Queue.is_empty st.pend then
-    if st.shutting then (
-      match Demi.close (Shard.demi_client st.sh) qd with
-      | Ok () | Error _ -> ())
-    else Queue.push qd st.idle
+    if st.shutting then hang_up st qd else Queue.push qd st.idle
   else begin
     let p = Queue.pop st.pend in
     Metrics.gauge_add st.g_qdepth (-1);
@@ -338,8 +344,9 @@ and pump t j qd =
   end
 
 (* Admission: idle trunk -> issue now; room in the queue -> park the
-   request; full queue -> shed. This is the only place load is refused,
-   and it is counted. *)
+   request; full queue, or no open trunk left to ever drain it (an
+   arrival that lands after the deadline closed them all) -> shed. This
+   is the only place load is refused, and it is counted. *)
 let enqueue t j p =
   let st = t.stations.(j) in
   st.m_offered <- st.m_offered + 1;
@@ -349,7 +356,7 @@ let enqueue t j p =
     Metrics.incr st.c_admitted;
     issue t j (Queue.pop st.idle) p
   end
-  else if Queue.length st.pend >= t.cfg.qcap then begin
+  else if st.trunks = 0 || Queue.length st.pend >= t.cfg.qcap then begin
     st.m_shed <- st.m_shed + 1;
     Metrics.incr st.c_dropped
   end
@@ -563,6 +570,7 @@ let build_stations ~(scn : Scenario.t) ~n ~seed =
         n_active = 0;
         pend = Queue.create ();
         idle = Queue.create ();
+        trunks = 0;
         shutting = false;
         m_offered = 0;
         m_admitted = 0;
@@ -737,7 +745,9 @@ let run ?drive ?offered_rate ~(scn : Scenario.t) ~shards ~seed () =
           if scn.offload then connect_client_udp st.sh k
           else connect_client st.sh
         with
-        | Ok qd -> Queue.push qd st.idle
+        | Ok qd ->
+            st.trunks <- st.trunks + 1;
+            Queue.push qd st.idle
         | Error _ -> invalid_arg "Loadgen.run: connect failed"
       done)
     stations;
@@ -787,8 +797,7 @@ let run ?drive ?offered_rate ~(scn : Scenario.t) ~shards ~seed () =
         Engine.at st.eng deadline (fun () ->
             st.shutting <- true;
             while not (Queue.is_empty st.idle) do
-              match Demi.close (Shard.demi_client st.sh) (Queue.pop st.idle) with
-              | Ok () | Error _ -> ()
+              hang_up st (Queue.pop st.idle)
             done)
       in
       ())

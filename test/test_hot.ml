@@ -1,100 +1,25 @@
-(* Tests for the dk-hot interprocedural cost analysis.
+(* Tests for the hot family's interprocedural cost analysis.
 
-   The fixture corpus is the contract, analyzed as ONE program because
+   The fixture corpus (tools/analysis/fixtures/hot, checked through
+   Fixture_harness) is the contract, analyzed as ONE program because
    the rules are cross-file: bad_alloc_chain.ml is charged for a
-   string append that lives in good_chain_helper.ml. Every
-   [(* FLAG rule *)] marker names a finding on exactly that line, and
-   per file the two (line, rule) sets must match exactly. On top of
-   the corpus, unit tests pin down the cost-specific engine behavior:
+   string append that lives in good_chain_helper.ml. On top of the
+   corpus, unit tests pin down the cost-specific engine behavior:
    by-name roots, cross-file chains, the exemption being local to the
    annotated function, static-closure precision, and the allowlist
-   contract every dk-* driver shares. *)
+   contract every family shares. *)
 
-let fixture_dir = "../tools/hot/fixtures"
+module H = Fixture_harness
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let fixtures prefix =
-  Sys.readdir fixture_dir |> Array.to_list
-  |> List.filter (fun f ->
-         String.length f > String.length prefix
-         && String.sub f 0 (String.length prefix) = prefix
-         && Filename.check_suffix f ".ml")
-  |> List.sort compare
-
-(* [(* FLAG rule ... *)] markers: expected (line, rule) pairs. *)
-let expected_flags src =
-  let re = Str.regexp "(\\* FLAG \\([a-z- ]+\\)\\*)" in
-  let out = ref [] in
-  List.iteri
-    (fun i line ->
-      try
-        ignore (Str.search_forward re line 0);
-        let rules = String.trim (Str.matched_group 1 line) in
-        List.iter
-          (fun r -> out := (i + 1, r) :: !out)
-          (String.split_on_char ' ' rules)
-      with Not_found -> ())
-    (String.split_on_char '\n' src);
-  List.sort compare !out
-
-(* The whole corpus, analyzed once as a single program. *)
-let corpus_findings =
-  lazy
-    (let files = Tool_common.ml_files [ fixture_dir ] in
-     let prog =
-       Hot_engine.analyze_files (List.map (fun f -> (f, read_file f)) files)
-     in
-     Hot_engine.findings prog)
-
-let findings_for file =
-  Lazy.force corpus_findings
-  |> List.filter (fun f -> Filename.basename f.Tool_common.path = file)
-  |> List.map (fun f -> (f.Tool_common.line, f.Tool_common.rule))
-  |> List.sort compare
-
-let pair_list = Alcotest.(list (pair int string))
-
-let bad_fixture_exact file () =
-  let expected = expected_flags (read_file (Filename.concat fixture_dir file)) in
-  Alcotest.(check bool)
-    "fixture seeds at least one violation" true
-    (expected <> []);
-  Alcotest.check pair_list "every seeded violation flagged, nothing else"
-    expected (findings_for file)
-
-let good_fixture_clean file () =
-  Lazy.force corpus_findings
-  |> List.filter (fun f -> Filename.basename f.Tool_common.path = file)
-  |> List.iter (fun f ->
-         Printf.printf "unexpected: %s\n" (Tool_common.pp_finding f));
-  Alcotest.check pair_list "clean fixture has zero findings" []
-    (findings_for file)
-
-let all_rule_families_covered () =
-  let rules =
-    Lazy.force corpus_findings
-    |> List.map (fun f -> f.Tool_common.rule)
-    |> List.sort_uniq compare
-  in
-  List.iter
-    (fun r ->
-      Alcotest.(check bool) (r ^ " covered by corpus") true (List.mem r rules))
-    [ "hot-alloc"; "hot-complexity"; "hot-poly"; "hot-annotation" ]
+let corpus =
+  H.corpus "hot" (fun files ->
+      Hot_engine.findings (Hot_engine.analyze_files files))
 
 (* ---------------- engine behaviors ---------------- *)
 
-let analyze name src = Hot_engine.analyze_files [ (name, src) ]
-let rules fs = List.sort_uniq compare (List.map (fun f -> f.Tool_common.rule) fs)
-
-let contains ~sub s =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
+let analyze name src = Hot_engine.analyze_files (H.parsed [ (name, src) ])
+let rules = H.rules
+let contains = H.contains
 
 let surface_rooted_by_name () =
   (* Nic.receive is on the per-op surface by (module, name), no
@@ -113,10 +38,11 @@ let surface_rooted_by_name () =
 let cross_file_chain_charged_at_root () =
   let prog =
     Hot_engine.analyze_files
-      [
-        ("render.ml", "let label n = string_of_int n ^ \"!\"\n");
-        ("pump.ml", "let deliver n = ignore (Render.label n)\n[@@hot]\n");
-      ]
+      (H.parsed
+         [
+           ("render.ml", "let label n = string_of_int n ^ \"!\"\n");
+           ("pump.ml", "let deliver n = ignore (Render.label n)\n[@@hot]\n");
+         ])
   in
   let fs = Hot_engine.findings prog in
   Alcotest.(check (list string)) "one hot-alloc" [ "hot-alloc" ] (rules fs);
@@ -187,25 +113,14 @@ let inventory_lists_roots () =
   Alcotest.(check bool) "table carries the key" true
     (contains ~sub:"Demi.spin" (Hot_engine.inventory_table inv))
 
-let parse_error_reported () =
-  let fs = Hot_engine.findings (analyze "broken.ml" "let f = (\n") in
-  Alcotest.(check (list string)) "parse-error finding" [ "parse-error" ]
-    (rules fs)
-
-let scan_dirs_walks_fixtures () =
-  let _, n = Hot_engine.scan_dirs [ fixture_dir ] in
-  Alcotest.(check int) "scans every fixture"
-    (List.length (fixtures "bad_") + List.length (fixtures "good_"))
-    n
-
 (* ---------------- allowlist contract ---------------- *)
 
-(* One copy of the allowlist semantics serves all four dk-* tools
-   (Tool_common.run_driver): a matching entry suppresses, a stale
+(* One copy of the allowlist semantics serves all four families
+   (Tool_common.apply_allowlist): a matching entry suppresses, a stale
    entry is reported back and fails the run. Exercised here against
-   real dk-hot corpus findings. *)
+   real hot-family corpus findings. *)
 let allowlist_suppresses_and_reports_stale () =
-  let findings = Lazy.force corpus_findings in
+  let findings = Lazy.force corpus.H.findings in
   let victim =
     List.find (fun f -> f.Tool_common.rule = "hot-alloc") findings
   in
@@ -230,52 +145,52 @@ let allowlist_suppresses_and_reports_stale () =
   Alcotest.(check (list string)) "the dead entry is stale" [ "hot-poly" ]
     (List.map (fun e -> e.Tool_common.a_rule) stale)
 
-let shipped_allowlist_is_empty () =
-  (* the acceptance bar for this tool: real findings get fixed or
-     classified at the allocation site, never allowlisted away *)
-  Alcotest.(check int) "dk-hot ships with an empty allowlist" 0
-    (List.length (Tool_common.load_allowlist "../tools/hot/allowlist.txt"))
+let shipped_allowlist_has_no_ast_family_entry () =
+  (* the acceptance bar for the hot, shard and verify families: real
+     findings get fixed or classified at the site, never allowlisted
+     away — the shared allowlist holds lint entries only *)
+  let ast_rule r =
+    List.mem r
+      [ "parse-error"; "qd-typestate"; "token-linear"; "sga-ownership";
+        "ignored-result"; "shard-state"; "det-source"; "poll-blocking";
+        "hot-alloc"; "hot-complexity"; "hot-poly"; "hot-annotation" ]
+  in
+  Alcotest.(check (list string)) "no verify/shard/hot entry" []
+    (Tool_common.load_allowlist "../tools/analysis/allowlist.txt"
+    |> List.map (fun e -> e.Tool_common.a_rule)
+    |> List.filter ast_rule)
 
 let () =
-  let corpus_bad =
-    List.map
-      (fun f -> Alcotest.test_case f `Quick (bad_fixture_exact f))
-      (fixtures "bad_")
-  in
-  let corpus_good =
-    List.map
-      (fun f -> Alcotest.test_case f `Quick (good_fixture_clean f))
-      (fixtures "good_")
-  in
   Alcotest.run "dk-hot"
-    [
-      ("bad fixtures (exact flag match)", corpus_bad);
-      ("good fixtures (zero findings)", corpus_good);
-      ( "engine",
-        [
-          Alcotest.test_case "all four rule families covered" `Quick
-            all_rule_families_covered;
-          Alcotest.test_case "surface rooted by name" `Quick
-            surface_rooted_by_name;
-          Alcotest.test_case "cross-file chain at root" `Quick
-            cross_file_chain_charged_at_root;
-          Alcotest.test_case "annotation exempts own allocs only" `Quick
-            annotation_exempts_own_allocs_only;
-          Alcotest.test_case "capture-free lambda is static" `Quick
-            capture_free_lambda_is_static;
-          Alcotest.test_case "one finding per family per root" `Quick
-            one_finding_per_family_per_root;
-          Alcotest.test_case "inventory lists roots" `Quick
-            inventory_lists_roots;
-          Alcotest.test_case "parse error reported" `Quick parse_error_reported;
-          Alcotest.test_case "scan_dirs walks fixtures" `Quick
-            scan_dirs_walks_fixtures;
-        ] );
-      ( "allowlist contract",
-        [
-          Alcotest.test_case "suppresses and reports stale" `Quick
-            allowlist_suppresses_and_reports_stale;
-          Alcotest.test_case "shipped allowlist is empty" `Quick
-            shipped_allowlist_is_empty;
-        ] );
-    ]
+    (H.groups corpus
+    @ [
+        ( "engine",
+          [
+            Alcotest.test_case "all four rule families covered" `Quick
+              (H.rules_covered corpus
+                 [ "hot-alloc"; "hot-complexity"; "hot-poly"; "hot-annotation" ]);
+            Alcotest.test_case "surface rooted by name" `Quick
+              surface_rooted_by_name;
+            Alcotest.test_case "cross-file chain at root" `Quick
+              cross_file_chain_charged_at_root;
+            Alcotest.test_case "annotation exempts own allocs only" `Quick
+              annotation_exempts_own_allocs_only;
+            Alcotest.test_case "capture-free lambda is static" `Quick
+              capture_free_lambda_is_static;
+            Alcotest.test_case "one finding per family per root" `Quick
+              one_finding_per_family_per_root;
+            Alcotest.test_case "inventory lists roots" `Quick
+              inventory_lists_roots;
+            Alcotest.test_case "parse error reported" `Quick
+              H.parse_error_once;
+            Alcotest.test_case "scan_dirs walks fixtures" `Quick
+              (H.scan_dirs_walks corpus);
+          ] );
+        ( "allowlist contract",
+          [
+            Alcotest.test_case "suppresses and reports stale" `Quick
+              allowlist_suppresses_and_reports_stale;
+            Alcotest.test_case "shipped allowlist has no AST-family entry"
+              `Quick shipped_allowlist_has_no_ast_family_entry;
+          ] );
+      ])

@@ -1,8 +1,9 @@
-(* Tests for the dk-lint rule engine: each rule fires on a seeded
+(* Tests for the lint rule family: each rule fires on a seeded
    violation, stays quiet on clean code, and the comment/string
    stripping keeps it from tripping on text that merely mentions a
    forbidden construct. *)
 
+open Tool_common
 open Lint_engine
 
 let check = Alcotest.check

@@ -192,6 +192,23 @@ let test_overload_sheds_and_stays_bounded () =
   Alcotest.(check int) "dropped counter matches shed total" st.Loadgen.l_shed
     dropped
 
+(* A request whose arrival event runs on a shard after that shard's
+   deadline event has closed every idle trunk finds no trunk left to
+   drain the queue. It used to sit there admitted and never done — this
+   run lost one (offered = admitted = 33485, done = 33484). With no
+   open trunk left the request is shed, so both conservation laws hold. *)
+let test_late_arrival_after_close_is_shed () =
+  let s =
+    match Scenario.find "poisson-steady" with
+    | Some s -> { s with Scenario.conns = 1_000_000; duration_ms = 50 }
+    | None -> Alcotest.fail "poisson-steady missing from catalogue"
+  in
+  let st = Loadgen.run ~offered_rate:670_000. ~scn:s ~shards:4 ~seed:9L () in
+  Alcotest.(check int) "offered = admitted + shed" st.Loadgen.l_offered
+    (st.Loadgen.l_admitted + st.Loadgen.l_shed);
+  Alcotest.(check int) "admitted work all completes" st.Loadgen.l_admitted
+    st.Loadgen.l_done
+
 (* ---- 7. every catalogue scenario runs at smoke scale ---- *)
 
 let test_catalogue_smoke () =
@@ -289,6 +306,8 @@ let () =
         [
           Alcotest.test_case "sheds, conserves, bounded" `Quick
             test_overload_sheds_and_stays_bounded;
+          Alcotest.test_case "late arrival after close is shed" `Quick
+            test_late_arrival_after_close_is_shed;
         ] );
       ( "catalogue",
         [ Alcotest.test_case "all scenarios smoke" `Quick test_catalogue_smoke ]

@@ -1,100 +1,24 @@
-(* Tests for the dk-shard interprocedural analysis.
+(* Tests for the shard family's interprocedural analysis, and for the
+   plumbing every family shares (directory walking, the one allowlist).
 
-   The fixture corpus is the contract — but unlike dk-verify the
-   corpus must be analyzed as ONE program, because the rules are
-   cross-file: bad_mut_use.ml mutates a table that good_mut_decl.ml
-   declared [@@shard.immutable]. Every [(* FLAG rule *)] marker names
-   a finding on exactly that line, and per file the two (line, rule)
-   sets must match exactly. On top of the corpus, unit tests pin down
-   the call-graph layer: two-hop propagation, closure capture, module
-   aliasing, and the unknown-call taint. *)
+   The fixture corpus (tools/analysis/fixtures/shard, checked through
+   Fixture_harness) is the contract, analyzed as ONE program because
+   the rules are cross-file: bad_mut_use.ml mutates a table that
+   good_mut_decl.ml declared [@@shard.immutable]. On top of the corpus,
+   unit tests pin down the call-graph layer: two-hop propagation,
+   closure capture, module aliasing, and the unknown-call taint. *)
 
-let fixture_dir = "../tools/shard/fixtures"
+module H = Fixture_harness
 
-let read_file path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
-let fixtures prefix =
-  Sys.readdir fixture_dir |> Array.to_list
-  |> List.filter (fun f ->
-         String.length f > String.length prefix
-         && String.sub f 0 (String.length prefix) = prefix
-         && Filename.check_suffix f ".ml")
-  |> List.sort compare
-
-(* [(* FLAG rule ... *)] markers: expected (line, rule) pairs. *)
-let expected_flags src =
-  let re = Str.regexp "(\\* FLAG \\([a-z- ]+\\)\\*)" in
-  let out = ref [] in
-  List.iteri
-    (fun i line ->
-      try
-        ignore (Str.search_forward re line 0);
-        let rules = String.trim (Str.matched_group 1 line) in
-        List.iter
-          (fun r -> out := (i + 1, r) :: !out)
-          (String.split_on_char ' ' rules)
-      with Not_found -> ())
-    (String.split_on_char '\n' src);
-  List.sort compare !out
-
-(* The whole corpus, analyzed once as a single program. *)
-let corpus_findings =
-  lazy
-    (let files = Tool_common.ml_files [ fixture_dir ] in
-     let prog =
-       Shard_engine.analyze_files
-         (List.map (fun f -> (f, read_file f)) files)
-     in
-     Shard_engine.findings prog)
-
-let findings_for file =
-  Lazy.force corpus_findings
-  |> List.filter (fun f -> Filename.basename f.Tool_common.path = file)
-  |> List.map (fun f -> (f.Tool_common.line, f.Tool_common.rule))
-  |> List.sort compare
-
-let pair_list = Alcotest.(list (pair int string))
-
-let bad_fixture_exact file () =
-  let expected = expected_flags (read_file (Filename.concat fixture_dir file)) in
-  Alcotest.(check bool)
-    "fixture seeds at least one violation" true
-    (expected <> []);
-  Alcotest.check pair_list "every seeded violation flagged, nothing else"
-    expected (findings_for file)
-
-let good_fixture_clean file () =
-  Lazy.force corpus_findings
-  |> List.filter (fun f -> Filename.basename f.Tool_common.path = file)
-  |> List.iter (fun f ->
-         Printf.printf "unexpected: %s\n" (Tool_common.pp_finding f));
-  Alcotest.check pair_list "clean fixture has zero findings" []
-    (findings_for file)
-
-let all_rule_families_covered () =
-  let rules =
-    Lazy.force corpus_findings
-    |> List.map (fun f -> f.Tool_common.rule)
-    |> List.sort_uniq compare
-  in
-  List.iter
-    (fun r ->
-      Alcotest.(check bool) (r ^ " covered by corpus") true (List.mem r rules))
-    [ "shard-state"; "det-source"; "poll-blocking" ]
+let corpus =
+  H.corpus "shard" (fun files ->
+      Shard_engine.findings (Shard_engine.analyze_files files))
 
 (* ---------------- call-graph behaviors ---------------- *)
 
-let analyze name src = Shard_engine.analyze_files [ (name, src) ]
-let rules fs = List.sort_uniq compare (List.map (fun f -> f.Tool_common.rule) fs)
-
-let contains ~sub s =
-  let n = String.length sub in
-  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
-  go 0
+let analyze name src = Shard_engine.analyze_files (H.parsed [ (name, src) ])
+let rules = H.rules
+let contains = H.contains
 
 let two_hop_chain_reported_at_entry () =
   (* the intrinsic sits two calls below the entry point; the finding
@@ -152,10 +76,10 @@ let unknown_call_taints_but_stays_quiet () =
   let prog = analyze "unk.ml" "let call_it f = f ()\nlet pure x = x + 1\n" in
   (match Shard_engine.summary_of prog "Unk.call_it" with
   | None -> Alcotest.fail "summary for Unk.call_it missing"
-  | Some s -> Alcotest.(check bool) "tainted unknown" true s.Shard_engine.unknown);
+  | Some s -> Alcotest.(check bool) "tainted unknown" true s.Interproc.unknown);
   (match Shard_engine.summary_of prog "Unk.pure" with
   | None -> Alcotest.fail "summary for Unk.pure missing"
-  | Some s -> Alcotest.(check bool) "pure fn untainted" false s.Shard_engine.unknown);
+  | Some s -> Alcotest.(check bool) "pure fn untainted" false s.Interproc.unknown);
   Alcotest.(check int) "no findings from unknown alone" 0
     (List.length (Shard_engine.findings prog))
 
@@ -200,22 +124,11 @@ let tooling_classified_and_exempt () =
   Alcotest.(check bool) "json carries the tooling class" true
     (contains ~sub:"\"tooling\"" (Shard_engine.inventory_json inv))
 
-let parse_error_reported () =
-  let fs = Shard_engine.findings (analyze "broken.ml" "let f = (\n") in
-  Alcotest.(check (list string)) "parse-error finding" [ "parse-error" ]
-    (rules fs)
-
-let scan_dirs_walks_fixtures () =
-  let _, n = Shard_engine.scan_dirs [ fixture_dir ] in
-  Alcotest.(check int) "scans every fixture"
-    (List.length (fixtures "bad_") + List.length (fixtures "good_"))
-    n
-
 (* ---------------- shared plumbing ---------------- *)
 
 let walk_skips_build_and_dot_dirs () =
   (* a stray local _build/ or .git/ must never inject phantom files
-     into any of the three tools *)
+     into any family *)
   let root = Filename.concat (Filename.get_temp_dir_name ()) "dk_walk_test" in
   let rec rm p =
     if Sys.is_directory p then (
@@ -253,45 +166,111 @@ let walk_missing_dir_is_empty () =
     "nonexistent directory yields nothing" []
     (Tool_common.ml_files [ "/nonexistent/dk_shard_test" ])
 
+(* ---------------- the one allowlist ---------------- *)
+
+(* A lib/ source with one finding from each family at the same path. *)
+let mixed_src =
+  "let _x () = try () with _ -> ()\n\
+   let close demi qd = ignore (Demi.close demi qd)\n\
+   let table = Hashtbl.create 3\n\
+   let pair x = (x, x)\n\
+   [@@hot]\n"
+
+(* Run the driver from a scratch tree holding lib/mixed.ml (text [src])
+   and its .mli, with an allowlist of the given [rule path] lines. *)
+let run_with_allowlist ?(src = mixed_src) entries =
+  let root = Filename.temp_dir "dk_analyze" "" in
+  let write rel text =
+    let oc = open_out (Filename.concat root rel) in
+    output_string oc text;
+    close_out oc
+  in
+  Sys.mkdir (Filename.concat root "lib") 0o755;
+  write "lib/mixed.ml" src;
+  write "lib/mixed.mli" "";
+  write "allow.txt" (String.concat "\n" entries);
+  let cwd = Sys.getcwd () in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.chdir cwd;
+      List.iter
+        (fun rel -> Sys.remove (Filename.concat root rel))
+        [ "lib/mixed.ml"; "lib/mixed.mli"; "allow.txt" ];
+      Sys.rmdir (Filename.concat root "lib");
+      Sys.rmdir root)
+    (fun () ->
+      Sys.chdir root;
+      Analysis.run ~allowlist:"allow.txt" [ "lib" ])
+
+(* One rule per family, each with a finding in lib/mixed.ml. *)
+let family_rules =
+  [ "catch-all-exn"; "ignored-result"; "shard-state"; "hot-alloc" ]
+
+let present r =
+  List.filter (fun x -> List.mem x (rules r.Analysis.kept)) family_rules
+
+let entry_suppresses_only_its_family () =
+  Alcotest.(check (list string)) "every family finds something" family_rules
+    (present (run_with_allowlist []));
+  List.iter
+    (fun rule ->
+      let r = run_with_allowlist [ rule ^ " lib/mixed.ml" ] in
+      Alcotest.(check (list string)) (rule ^ " entry suppresses only " ^ rule)
+        (List.filter (fun x -> x <> rule) family_rules)
+        (present r);
+      Alcotest.(check int) (rule ^ " entry is in use") 0
+        (List.length r.Analysis.stale))
+    family_rules
+
+let stale_entry_per_family_fails () =
+  (* on clean code, one entry of each family's rule is all that fails *)
+  List.iter
+    (fun rule ->
+      let r =
+        run_with_allowlist ~src:"let x = 1\n" [ rule ^ " lib/mixed.ml" ]
+      in
+      Alcotest.(check int) "clean source" 0 (List.length r.Analysis.kept);
+      Alcotest.(check (list string)) (rule ^ " entry reported stale") [ rule ]
+        (List.map (fun e -> e.Tool_common.a_rule) r.Analysis.stale);
+      Alcotest.(check bool) (rule ^ " stale entry fails the run") true
+        (Analysis.failed r))
+    [ "adhoc-counter"; "token-linear"; "det-source"; "hot-poly" ]
+
 let () =
-  let corpus_bad =
-    List.map
-      (fun f -> Alcotest.test_case f `Quick (bad_fixture_exact f))
-      (fixtures "bad_")
-  in
-  let corpus_good =
-    List.map
-      (fun f -> Alcotest.test_case f `Quick (good_fixture_clean f))
-      (fixtures "good_")
-  in
   Alcotest.run "dk-shard"
-    [
-      ("bad fixtures (exact flag match)", corpus_bad);
-      ("good fixtures (zero findings)", corpus_good);
-      ( "call graph",
-        [
-          Alcotest.test_case "all three rule families covered" `Quick
-            all_rule_families_covered;
-          Alcotest.test_case "two-hop chain at entry" `Quick
-            two_hop_chain_reported_at_entry;
-          Alcotest.test_case "closure capture propagates" `Quick
-            closure_capture_propagates;
-          Alcotest.test_case "module alias resolved" `Quick
-            module_alias_resolved;
-          Alcotest.test_case "unknown call taints quietly" `Quick
-            unknown_call_taints_but_stays_quiet;
-          Alcotest.test_case "inventory classifies" `Quick inventory_classifies;
-          Alcotest.test_case "tooling classified and exempt" `Quick
-            tooling_classified_and_exempt;
-          Alcotest.test_case "parse error reported" `Quick parse_error_reported;
-          Alcotest.test_case "scan_dirs walks fixtures" `Quick
-            scan_dirs_walks_fixtures;
-        ] );
-      ( "shared plumbing",
-        [
-          Alcotest.test_case "walk skips _build and dot dirs" `Quick
-            walk_skips_build_and_dot_dirs;
-          Alcotest.test_case "missing dir yields nothing" `Quick
-            walk_missing_dir_is_empty;
-        ] );
-    ]
+    (H.groups corpus
+    @ [
+        ( "call graph",
+          [
+            Alcotest.test_case "all three rule families covered" `Quick
+              (H.rules_covered corpus
+                 [ "shard-state"; "det-source"; "poll-blocking" ]);
+            Alcotest.test_case "two-hop chain at entry" `Quick
+              two_hop_chain_reported_at_entry;
+            Alcotest.test_case "closure capture propagates" `Quick
+              closure_capture_propagates;
+            Alcotest.test_case "module alias resolved" `Quick
+              module_alias_resolved;
+            Alcotest.test_case "unknown call taints quietly" `Quick
+              unknown_call_taints_but_stays_quiet;
+            Alcotest.test_case "inventory classifies" `Quick
+              inventory_classifies;
+            Alcotest.test_case "tooling classified and exempt" `Quick
+              tooling_classified_and_exempt;
+            Alcotest.test_case "parse error reported" `Quick
+              H.parse_error_once;
+            Alcotest.test_case "scan_dirs walks fixtures" `Quick
+              (H.scan_dirs_walks corpus);
+          ] );
+        ( "shared plumbing",
+          [
+            Alcotest.test_case "walk skips _build and dot dirs" `Quick
+              walk_skips_build_and_dot_dirs;
+            Alcotest.test_case "missing dir yields nothing" `Quick
+              walk_missing_dir_is_empty;
+            Alcotest.test_case "allowlist entry stays in its family" `Quick
+              entry_suppresses_only_its_family;
+            Alcotest.test_case "stale entry of any family fails" `Quick
+              stale_entry_per_family_fails;
+          ] );
+      ])

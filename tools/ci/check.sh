@@ -6,24 +6,19 @@
 #   build     dune build — the whole tree compiles (lib, bench,
 #             examples, tools)
 #   test      dune runtest — unit/property/integration suites, plus
-#             @lint -> @verify -> @shard -> @hot (dk-lint token rules,
-#             dk-verify typestate/dataflow analysis, dk-shard
-#             shard-safety/determinism analysis, dk-hot hot-path cost
-#             analysis; all fail on stale allowlist entries) and the
+#             @lint (dk-analyze: one parse per source, four rule
+#             families — lint token rules, verify typestate/dataflow,
+#             shard shard-safety/determinism, hot hot-path cost — and
+#             one allowlist whose stale entries fail the run) and the
 #             bench smoke run
 #   sanitize  DK_SANITIZE=1 dune build @sanitize — exactly the suites
 #             that read DK_SANITIZE (canaries, poison-on-free,
 #             UAF/double-free detection, leak sweeps, token audit);
 #             suites that never consult the sanitizer are not re-run
-#   shard     dune build @shard — the dk-shard interprocedural
-#             shard-safety & determinism analysis over lib/ on its own
-#             (it also runs as part of 'test' via the @verify alias);
-#             the multi-shard datapath is gated on this staying clean
-#   hot       dune build @hot — the dk-hot interprocedural hot-path
-#             cost analysis (per-op allocation, complexity, poly
-#             compare/hash) over lib/ on its own (it also runs as
-#             part of 'test' via the @shard alias); the ~1000-cycle
-#             datapath budget is gated on this staying clean
+#   lint      dune build @lint — the dk-analyze source analysis on
+#             its own (it also runs as part of 'test'); the multi-shard
+#             datapath and the ~1000-cycle datapath budget are gated
+#             on it staying clean
 #   fault     dune build @fault — the fault-injection scenario suite,
 #             normal then sanitized; export DK_FAULT_CI=1 to widen the
 #             every-plan matrix to multiple seeds (the CI matrix job
@@ -41,8 +36,9 @@
 #             tables and fail on >25% regression against the committed
 #             baselines (virtual-time columns at DK_BENCH_MAX_RATIO,
 #             latency percentiles at DK_BENCH_PCTL_MAX_RATIO)
-#   all       build + test + shard + hot + scenario + offload +
-#             sanitize, plus fault when DK_FAULT_CI is set
+#   all       build + test + scenario + offload + sanitize, plus
+#             fault when DK_FAULT_CI is set (the source analysis runs
+#             once, inside test)
 #
 # Run from anywhere; exits nonzero on the first failure.
 
@@ -58,7 +54,7 @@ run_build() {
 }
 
 run_test() {
-  echo "== [test] dune runtest (includes @lint and @verify)"
+  echo "== [test] dune runtest (includes @lint)"
   dune runtest
 }
 
@@ -67,14 +63,9 @@ run_sanitize() {
   DK_SANITIZE=1 dune build @sanitize --force
 }
 
-run_shard() {
-  echo "== [shard] dune build @shard"
-  dune build @shard --force
-}
-
-run_hot() {
-  echo "== [hot] dune build @hot"
-  dune build @hot --force
+run_lint() {
+  echo "== [lint] dune build @lint"
+  dune build @lint --force
 }
 
 run_fault() {
@@ -101,8 +92,7 @@ case "$stage" in
   build)    run_build ;;
   test)     run_test ;;
   sanitize) run_sanitize ;;
-  shard)    run_shard ;;
-  hot)      run_hot ;;
+  lint)     run_lint ;;
   fault)    run_fault ;;
   scenario) run_scenario ;;
   offload)  run_offload ;;
@@ -110,8 +100,6 @@ case "$stage" in
   all)
     run_build
     run_test
-    run_shard
-    run_hot
     run_scenario
     run_offload
     run_sanitize
@@ -120,7 +108,7 @@ case "$stage" in
     fi
     ;;
   *)
-    echo "usage: $0 [build|test|sanitize|shard|hot|fault|scenario|offload|bench|all]" >&2
+    echo "usage: $0 [build|test|sanitize|lint|fault|scenario|offload|bench|all]" >&2
     exit 2
     ;;
 esac
