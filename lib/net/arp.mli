@@ -10,6 +10,15 @@ type t = {
   target_ip : Addr.ip;
 }
 
+val size : int
+(** Bytes of an ARP packet. *)
+
+val write : bytes -> int -> t -> unit
+(** [write b off t] writes the packet at [off], in place in a frame. *)
+
+val read : bytes -> int -> int -> (t, string) result
+(** [read b off len] parses the packet in the [len] bytes at [off]. *)
+
 val encode : t -> string
 val decode : string -> (t, string) result
 

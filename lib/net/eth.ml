@@ -2,6 +2,14 @@ type ethertype = Arp | Ipv4 | Unknown of int
 
 type t = { dst : Addr.mac; src : Addr.mac; ethertype : ethertype; payload : string }
 
+type view = {
+  dst : Addr.mac;
+  src : Addr.mac;
+  ethertype : ethertype;
+  off : int;
+  len : int;
+}
+
 let header_size = 14
 
 let ethertype_to_int = function
@@ -14,27 +22,43 @@ let ethertype_of_int = function
   | 0x0800 -> Ipv4
   | v -> Unknown v
 
-let encode t =
-  let b = Bytes.create (header_size + String.length t.payload) in
-  Wire.set_u48 b 0 t.dst;
-  Wire.set_u48 b 6 t.src;
-  Wire.set_u16 b 12 (ethertype_to_int t.ethertype);
-  Bytes.blit_string t.payload 0 b header_size (String.length t.payload);
+let write b off ~dst ~src ~ethertype =
+  Wire.set_u48 b off dst;
+  Wire.set_u48 b (off + 6) src;
+  Wire.set_u16 b (off + 12) (ethertype_to_int ethertype)
+
+let read b off len =
+  if len < header_size then Error "eth: frame too short"
+  else
+    Ok
+      {
+        dst = Wire.get_u48 b off;
+        src = Wire.get_u48 b (off + 6);
+        ethertype = ethertype_of_int (Wire.get_u16 b (off + 12));
+        off = off + header_size;
+        len = len - header_size;
+      }
+
+let encode (t : t) =
+  let n = String.length t.payload in
+  let b = Bytes.create (header_size + n) in
+  write b 0 ~dst:t.dst ~src:t.src ~ethertype:t.ethertype;
+  Bytes.blit_string t.payload 0 b header_size n;
   Bytes.unsafe_to_string b
 
 let decode s =
-  if String.length s < header_size then Error "eth: frame too short"
-  else
-    let b = Bytes.unsafe_of_string s in
-    Ok
-      {
-        dst = Wire.get_u48 b 0;
-        src = Wire.get_u48 b 6;
-        ethertype = ethertype_of_int (Wire.get_u16 b 12);
-        payload = String.sub s header_size (String.length s - header_size);
-      }
+  match read (Bytes.unsafe_of_string s) 0 (String.length s) with
+  | Error e -> Error e
+  | Ok v ->
+      Ok
+        {
+          dst = v.dst;
+          src = v.src;
+          ethertype = v.ethertype;
+          payload = String.sub s v.off v.len;
+        }
 
-let pp ppf t =
+let pp ppf (t : t) =
   let kind =
     match t.ethertype with
     | Arp -> "arp"

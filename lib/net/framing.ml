@@ -14,57 +14,86 @@ let frame_overhead segments =
       (fun acc s -> acc + Dk_util.Varint.encoded_size (String.length s))
       0 segments
 
-type decoder = {
-  mutable pending : string; (* undecoded stream bytes *)
-}
+(* The undecoded stream bytes are [buf.[head, tail)]. Feeding appends
+   at [tail]; decoding a message advances [head]. The buffer is
+   compacted or doubled only when the tail reaches its end, so each
+   stream byte is copied a constant number of times on average, however
+   finely the stream arrives. *)
+type decoder = { mutable buf : bytes; mutable head : int; mutable tail : int }
 
-let create () = { pending = "" }
+let create () = { buf = Bytes.empty; head = 0; tail = 0 }
 
-let feed t s = if String.length s > 0 then t.pending <- t.pending ^ s
+(* Room for [n] more bytes at the tail: slide the live bytes to the
+   front when that leaves the buffer at most half full, else move them
+   into one twice as large (or just large enough). *)
+let reserve t n =
+  let cap = Bytes.length t.buf in
+  if t.tail + n > cap then begin
+    let live = t.tail - t.head in
+    let dst =
+      if live + n <= cap / 2 then t.buf
+      else Bytes.create (max (2 * cap) (live + n))
+    in
+    Bytes.blit t.buf t.head dst 0 live;
+    t.buf <- dst;
+    t.head <- 0;
+    t.tail <- live
+  end
   [@@hot.alloc
-    "the decoder carries the undecoded stream tail as one string; \
-     feeding appends to it"]
+    "the stream buffer grows by doubling, so a long-lived decoder stops \
+     allocating once it holds its largest message"]
 
-let buffered t = String.length t.pending
+let feed t s =
+  let n = String.length s in
+  if n > 0 then begin
+    reserve t n;
+    Bytes.blit_string s 0 t.buf t.tail n;
+    t.tail <- t.tail + n
+  end
 
-(* Decode [nsegs] segment lengths starting at [off]; toplevel so the
-   per-message call allocates no closure environment. *)
-let rec read_lengths b nsegs i off acc =
+let buffered t = t.tail - t.head
+
+(* Decode [nsegs] segment lengths starting at [off], reading no byte at
+   or past [stop]; toplevel so the per-message call allocates no closure
+   environment. *)
+let rec read_lengths b stop nsegs i off acc =
   if i = nsegs then Some (List.rev acc, off)
   else
-    match Dk_util.Varint.read b off with
+    match Dk_util.Varint.read_before b off stop with
     | None -> None
     | Some (len, used) ->
         if len < 0 then failwith "framing: bad segment length"
-        else read_lengths b nsegs (i + 1) (off + used) (len :: acc)
+        else read_lengths b stop nsegs (i + 1) (off + used) (len :: acc)
   [@@hot.alloc "the decoded segment-length list is the frame header"]
 
 let rec sum_lens = function [] -> 0 | n :: rest -> n + sum_lens rest
 
-let rec cut_segs pending pos = function
+let rec cut_segs b pos = function
   | [] -> []
-  | len :: rest -> String.sub pending pos len :: cut_segs pending (pos + len) rest
+  | len :: rest -> Bytes.sub_string b pos len :: cut_segs b (pos + len) rest
   [@@hot.alloc "decoding materializes each delivered segment"]
 
-(* Try to decode one message from the head of [pending]. *)
+(* Try to decode one message from the head of the stream. *)
 let next t =
-  let b = Bytes.unsafe_of_string t.pending in
-  match Dk_util.Varint.read b 0 with
+  match Dk_util.Varint.read_before t.buf t.head t.tail with
   | None -> None
   | Some (nsegs, used0) ->
       if nsegs < 0 || nsegs > 1 lsl 16 then failwith "framing: bad segment count"
       else begin
-        match read_lengths b nsegs 0 used0 [] with
+        match read_lengths t.buf t.tail nsegs 0 (t.head + used0) [] with
         | None -> None
-        | Some (lens, header) ->
-            let total = sum_lens lens in
-            if String.length t.pending < header + total then None
+        | Some (lens, body) ->
+            let stop = body + sum_lens lens in
+            if t.tail < stop then None
             else begin
-              let segs = cut_segs t.pending header lens in
-              let tail_at = header + total in
-              t.pending <-
-                String.sub t.pending tail_at (String.length t.pending - tail_at);
+              let segs = cut_segs t.buf body lens in
+              (* An emptied buffer restarts at the front, so the common
+                 case of whole messages never compacts. *)
+              if stop = t.tail then begin
+                t.head <- 0;
+                t.tail <- 0
+              end
+              else t.head <- stop;
               Some segs
             end
       end
-  [@@hot.alloc "the remaining stream tail is re-sliced after each message"]

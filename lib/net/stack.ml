@@ -91,79 +91,85 @@ let decode_error t msg =
     Flight.commit f
   end
 
-(* ---- transmit path ---- *)
+(* ---- transmit path ----
 
-let transmit_eth t ~dst_mac ~ethertype payload =
+   Every frame is one buffer, allocated once at its final size. The
+   transport layer copies its payload in (TCP straight from the send
+   ring) and writes its header in place; [send_ipv4] writes the IPv4
+   header; [transmit_frame] writes the Ethernet header once the next
+   hop's MAC is known and hands the frame to the NIC. *)
+
+let l3_off = Eth.header_size
+let l4_off = l3_off + Ipv4.header_size
+
+let transmit_frame t ~dst_mac ~ethertype frame =
   Dk_sim.Engine.consume t.engine t.pkt_cost;
   t.frames_out <- t.frames_out + 1;
   Dk_obs.Metrics.incr m_frames_out;
-  let frame =
-    Eth.encode { Eth.dst = dst_mac; src = mac t; ethertype; payload }
-  in
-  ignore (Dk_device.Nic.transmit t.nic ~dst:dst_mac frame)
+  Eth.write frame 0 ~dst:dst_mac ~src:(mac t) ~ethertype;
+  ignore (Dk_device.Nic.transmit t.nic ~dst:dst_mac (Bytes.unsafe_to_string frame))
+
+let send_arp t ~dst_mac arp =
+  let frame = Bytes.create (l3_off + Arp.size) in
+  Arp.write frame l3_off arp;
+  transmit_frame t ~dst_mac ~ethertype:Eth.Arp frame
 
 let send_arp_request t target_ip =
   Dk_obs.Metrics.incr m_arp_requests;
-  let pkt =
-    Arp.encode
-      {
-        Arp.op = Arp.Request;
-        sender_mac = mac t;
-        sender_ip = t.ip;
-        target_mac = 0;
-        target_ip;
-      }
-  in
-  transmit_eth t ~dst_mac:Addr.mac_broadcast ~ethertype:Eth.Arp pkt
+  send_arp t ~dst_mac:Addr.mac_broadcast
+    { Arp.op = Arp.Request; sender_mac = mac t; sender_ip = t.ip; target_mac = 0; target_ip }
 
 let arp_retry_ns = 200_000L
 let arp_max_attempts = 5
 
-(* Resolve [dst_ip] and then run [k dst_mac]; datagrams issued during
+(* Run [k dst_mac] once [dst_ip] resolves; datagrams issued during
    resolution wait in the ARP pending queue. Requests are retried a few
    times; on give-up the queued traffic is dropped (upper layers
    retransmit) so a later send can start a fresh resolution round. *)
-let with_mac t dst_ip k =
-  match Arp.Table.lookup t.arp dst_ip with
-  | Some m -> k m
-  | None ->
-      Dk_obs.Metrics.incr m_arp_misses;
-      let first = Arp.Table.enqueue_pending t.arp dst_ip k in
-      if first then begin
-        let rec attempt n =
-          if Arp.Table.lookup t.arp dst_ip = None then
-            if n = 0 then begin
-              let dropped = Arp.Table.drop_pending t.arp dst_ip in
-              Dk_obs.Metrics.incr m_arp_abandoned;
-              let f = Flight.default in
-              Flight.start f ~now:(Dk_sim.Engine.now t.engine) Flight.Drop;
-              Flight.add_string f "arp gave up on ";
-              Flight.add_hex f dst_ip;
-              Flight.add_string f " after ";
-              Flight.add_int f arp_max_attempts;
-              Flight.add_string f " tries (";
-              Flight.add_int f dropped;
-              Flight.add_string f " queued sends dropped)";
-              Flight.commit f
-            end
-            else begin
-              send_arp_request t dst_ip;
-              ignore
-                (Dk_sim.Engine.after t.engine arp_retry_ns (fun () ->
-                     attempt (n - 1)))
-            end
-        in
-        attempt arp_max_attempts
-      end
+let await_mac t dst_ip k =
+  Dk_obs.Metrics.incr m_arp_misses;
+  let first = Arp.Table.enqueue_pending t.arp dst_ip k in
+  if first then begin
+    let rec attempt n =
+      if Arp.Table.lookup t.arp dst_ip = None then
+        if n = 0 then begin
+          let dropped = Arp.Table.drop_pending t.arp dst_ip in
+          Dk_obs.Metrics.incr m_arp_abandoned;
+          let f = Flight.default in
+          Flight.start f ~now:(Dk_sim.Engine.now t.engine) Flight.Drop;
+          Flight.add_string f "arp gave up on ";
+          Flight.add_hex f dst_ip;
+          Flight.add_string f " after ";
+          Flight.add_int f arp_max_attempts;
+          Flight.add_string f " tries (";
+          Flight.add_int f dropped;
+          Flight.add_string f " queued sends dropped)";
+          Flight.commit f
+        end
+        else begin
+          send_arp_request t dst_ip;
+          ignore
+            (Dk_sim.Engine.after t.engine arp_retry_ns (fun () ->
+                 attempt (n - 1)))
+        end
+    in
+    attempt arp_max_attempts
+  end
 
-let send_ipv4 t ~dst_ip ~proto payload =
+(* [frame] holds a transport segment at [l4_off]: write the IPv4
+   header in front of it and send it to [dst_ip]'s MAC. On an ARP hit
+   this builds no closure; on a miss the finished frame waits for the
+   reply and only its Ethernet header is written then. *)
+let send_ipv4 t ~dst_ip ~proto frame =
   let ident = t.next_ident in
   t.next_ident <- (t.next_ident + 1) land 0xffff;
-  let pkt =
-    Ipv4.encode { Ipv4.src = t.ip; dst = dst_ip; proto; ttl = 64; ident; payload }
-  in
-  with_mac t dst_ip (fun dst_mac ->
-      transmit_eth t ~dst_mac ~ethertype:Eth.Ipv4 pkt)
+  Ipv4.write frame l3_off ~src:t.ip ~dst:dst_ip ~proto ~ttl:64 ~ident
+    ~len:(Bytes.length frame - l3_off);
+  match Arp.Table.lookup t.arp dst_ip with
+  | Some dst_mac -> transmit_frame t ~dst_mac ~ethertype:Eth.Ipv4 frame
+  | None ->
+      await_mac t dst_ip (fun dst_mac ->
+          transmit_frame t ~dst_mac ~ethertype:Eth.Ipv4 frame)
 
 (* ---- UDP ---- *)
 
@@ -177,11 +183,13 @@ let udp_bind t ~port ~recv =
 let udp_unbind t ~port = Hashtbl.remove t.udp_ports port
 
 let udp_send t ~src_port ~dst payload =
-  let datagram =
-    Udp.encode ~src_ip:t.ip ~dst_ip:dst.Addr.ip
-      { Udp.src_port; dst_port = dst.Addr.port; payload }
-  in
-  send_ipv4 t ~dst_ip:dst.Addr.ip ~proto:Ipv4.Udp datagram
+  let data_off = l4_off + Udp.header_size in
+  let n = String.length payload in
+  let frame = Bytes.create (data_off + n) in
+  Bytes.blit_string payload 0 frame data_off n;
+  Udp.write frame l4_off ~src_ip:t.ip ~dst_ip:dst.Addr.ip ~src_port
+    ~dst_port:dst.Addr.port ~len:(Udp.header_size + n);
+  send_ipv4 t ~dst_ip:dst.Addr.ip ~proto:Ipv4.Udp frame
 
 (* ---- TCP ---- *)
 
@@ -212,9 +220,22 @@ let register_conn t ~local_port ~remote conn =
       | Some h -> Hashtbl.remove h remote.Addr.ip
       | None -> ())
 
-let tcp_emit t ~remote_ip seg =
-  let payload = Tcp_wire.encode ~src_ip:t.ip ~dst_ip:remote_ip seg in
-  send_ipv4 t ~dst_ip:remote_ip ~proto:Ipv4.Tcp payload
+let tcp_data_off = l4_off + Tcp_wire.header_size
+
+(* [frame] holds the segment's payload at [tcp_data_off]. *)
+let send_tcp t ~remote_ip ~src_port ~dst_port ~seq ~ack_seq ~flags ~window
+    frame =
+  Tcp_wire.write frame l4_off ~src_ip:t.ip ~dst_ip:remote_ip ~src_port
+    ~dst_port ~seq ~ack_seq ~flags ~window
+    ~len:(Bytes.length frame - l4_off);
+  send_ipv4 t ~dst_ip:remote_ip ~proto:Ipv4.Tcp frame
+
+let tcp_emitter t ~remote_ip ~src_port ~dst_port : Tcp.emit =
+ fun ~seq ~ack_seq ~flags ~window ring ~skip ~len ->
+  let frame = Bytes.create (tcp_data_off + len) in
+  if Dk_util.Ring.peek_at ring skip frame tcp_data_off len <> len then
+    invalid_arg "Stack.tcp_emitter: payload slice past the ring's end";
+  send_tcp t ~remote_ip ~src_port ~dst_port ~seq ~ack_seq ~flags ~window frame
 
 let tcp_listen t ~port ~on_accept =
   if Hashtbl.mem t.listeners port then Error `In_use
@@ -243,122 +264,117 @@ let tcp_connect t ~dst =
   let conn =
     Tcp.create_active ~engine:t.engine ~config:t.tcp_config ~local ~remote:dst
       ~iss:(next_iss t)
-      ~emit:(fun seg -> tcp_emit t ~remote_ip:dst.Addr.ip seg)
+      ~emit:
+        (tcp_emitter t ~remote_ip:dst.Addr.ip ~src_port:local_port
+           ~dst_port:dst.Addr.port)
   in
   register_conn t ~local_port ~remote:dst conn;
   conn
 
+let rst_ack_flags = { Tcp_wire.no_flags with rst = true; ack = true }
+
 (* A segment for which no connection exists: answer with RST so active
    opens to dead ports fail fast. *)
-let send_rst t ~remote (seg : Tcp_wire.t) =
-  if not seg.Tcp_wire.flags.Tcp_wire.rst then begin
-    let rst =
-      {
-        Tcp_wire.src_port = seg.Tcp_wire.dst_port;
-        dst_port = seg.Tcp_wire.src_port;
-        seq = seg.Tcp_wire.ack_seq;
-        ack_seq =
-          (seg.Tcp_wire.seq + String.length seg.Tcp_wire.payload + 1)
-          land 0xffffffff;
-        flags = { Tcp_wire.no_flags with rst = true; ack = true };
-        window = 0;
-        payload = "";
-      }
-    in
-    tcp_emit t ~remote_ip:remote rst
-  end
+let send_rst t ~remote_ip (seg : Tcp_wire.view) =
+  if not seg.flags.Tcp_wire.rst then
+    send_tcp t ~remote_ip ~src_port:seg.dst_port ~dst_port:seg.src_port
+      ~seq:seg.ack_seq
+      ~ack_seq:((seg.seq + seg.len + 1) land 0xffffffff)
+      ~flags:rst_ack_flags ~window:0
+      (Bytes.create tcp_data_off)
 
-let handle_tcp t ~src_ip segment =
-  match Tcp_wire.decode ~src_ip ~dst_ip:t.ip segment with
-  | Error e -> decode_error t e
-  | Ok seg ->
-      let local_port = seg.Tcp_wire.dst_port in
-      let remote = Addr.endpoint src_ip seg.Tcp_wire.src_port in
-      (match
-         find_conn t ~local_port ~remote_ip:src_ip
-           ~remote_port:seg.Tcp_wire.src_port
-       with
-      | Some conn -> Tcp.segment_arrives conn seg
-      | None -> (
-          match Hashtbl.find_opt t.listeners local_port with
-          | Some l
-            when seg.Tcp_wire.flags.Tcp_wire.syn
-                 && not seg.Tcp_wire.flags.Tcp_wire.ack ->
-              let local = Addr.endpoint t.ip local_port in
-              let conn =
-                Tcp.create_passive ~engine:t.engine ~config:t.tcp_config
-                  ~local ~remote ~iss:(next_iss t)
-                  ~emit:(fun s -> tcp_emit t ~remote_ip:src_ip s)
-                  ~remote_seq:seg.Tcp_wire.seq
-              in
-              register_conn t ~local_port ~remote conn;
-              Tcp.set_on_connect conn (fun () -> l.on_accept conn)
-          | Some _ | None ->
-              t.no_listener <- t.no_listener + 1;
-              Dk_obs.Metrics.incr m_no_listener;
-              send_rst t ~remote:src_ip seg))
+let handle_tcp t ~src_ip (seg : Tcp_wire.view) =
+  let local_port = seg.dst_port in
+  match find_conn t ~local_port ~remote_ip:src_ip ~remote_port:seg.src_port with
+  | Some conn -> Tcp.segment_arrives conn seg
+  | None -> (
+      match Hashtbl.find_opt t.listeners local_port with
+      | Some l when seg.flags.Tcp_wire.syn && not seg.flags.Tcp_wire.ack ->
+          let local = Addr.endpoint t.ip local_port in
+          let remote = Addr.endpoint src_ip seg.src_port in
+          let conn =
+            Tcp.create_passive ~engine:t.engine ~config:t.tcp_config ~local
+              ~remote ~iss:(next_iss t)
+              ~emit:
+                (tcp_emitter t ~remote_ip:src_ip ~src_port:local_port
+                   ~dst_port:seg.src_port)
+              ~remote_seq:seg.seq
+          in
+          register_conn t ~local_port ~remote conn;
+          Tcp.set_on_connect conn (fun () -> l.on_accept conn)
+      | Some _ | None ->
+          t.no_listener <- t.no_listener + 1;
+          Dk_obs.Metrics.incr m_no_listener;
+          send_rst t ~remote_ip:src_ip seg)
 
 (* ---- receive path ---- *)
 
-let handle_arp t payload =
-  match Arp.decode payload with
-  | Error e -> decode_error t e
-  | Ok { Arp.op; sender_mac; sender_ip; target_ip; _ } -> (
-      (* Learn the sender either way. *)
-      let recovered = Arp.Table.resolve_pending t.arp sender_ip sender_mac in
-      if recovered > 0 then Dk_obs.Metrics.add m_arp_recovered recovered;
-      match op with
-      | Arp.Request when target_ip = t.ip ->
-          let reply =
-            Arp.encode
-              {
-                Arp.op = Arp.Reply;
-                sender_mac = mac t;
-                sender_ip = t.ip;
-                target_mac = sender_mac;
-                target_ip = sender_ip;
-              }
-          in
-          transmit_eth t ~dst_mac:sender_mac ~ethertype:Eth.Arp reply
-      | Arp.Request | Arp.Reply -> ())
+let handle_arp t { Arp.op; sender_mac; sender_ip; target_ip; _ } =
+  (* Learn the sender either way. *)
+  let recovered = Arp.Table.resolve_pending t.arp sender_ip sender_mac in
+  if recovered > 0 then Dk_obs.Metrics.add m_arp_recovered recovered;
+  match op with
+  | Arp.Request when target_ip = t.ip ->
+      send_arp t ~dst_mac:sender_mac
+        {
+          Arp.op = Arp.Reply;
+          sender_mac = mac t;
+          sender_ip = t.ip;
+          target_mac = sender_mac;
+          target_ip = sender_ip;
+        }
+  | Arp.Request | Arp.Reply -> ()
 
-let handle_udp t ~src_ip payload =
-  match Udp.decode ~src_ip ~dst_ip:t.ip payload with
-  | Error e -> decode_error t e
-  | Ok { Udp.src_port; dst_port; payload } -> (
-      match Hashtbl.find_opt t.udp_ports dst_port with
-      | Some recv -> recv ~src:(Addr.endpoint src_ip src_port) payload
-      | None ->
-          t.no_listener <- t.no_listener + 1;
-          Dk_obs.Metrics.incr m_no_listener)
+let handle_udp t ~src_ip b (dgram : Udp.view) =
+  match Hashtbl.find_opt t.udp_ports dgram.dst_port with
+  | Some recv ->
+      recv
+        ~src:(Addr.endpoint src_ip dgram.src_port)
+        (Bytes.sub_string b dgram.off dgram.len)
+  | None ->
+      t.no_listener <- t.no_listener + 1;
+      Dk_obs.Metrics.incr m_no_listener
 
+let not_for_us t =
+  t.not_for_us <- t.not_for_us + 1;
+  Dk_obs.Metrics.incr m_not_for_us
+
+let handle_ipv4 t b (ip : Ipv4.view) =
+  if ip.dst <> t.ip then not_for_us t
+  else
+    let src_ip = ip.src in
+    match ip.proto with
+    | Ipv4.Udp -> (
+        match Udp.read ~src_ip ~dst_ip:t.ip b ip.off ip.len with
+        | Error e -> decode_error t e
+        | Ok dgram -> handle_udp t ~src_ip b dgram)
+    | Ipv4.Tcp -> (
+        match Tcp_wire.read ~src_ip ~dst_ip:t.ip b ip.off ip.len with
+        | Error e -> decode_error t e
+        | Ok seg -> handle_tcp t ~src_ip seg)
+    | Ipv4.Unknown _ -> decode_error t "ipv4: unknown protocol"
+
+(* The one receive parser: each layer parses its header in place and
+   passes the next layer an offset and length into the same frame. *)
 let handle_frame t frame =
   t.frames_in <- t.frames_in + 1;
   Dk_obs.Metrics.incr m_frames_in;
   Dk_sim.Engine.consume t.engine t.pkt_cost;
-  match Eth.decode frame with
+  let b = Bytes.unsafe_of_string frame in
+  match Eth.read b 0 (Bytes.length b) with
   | Error e -> decode_error t e
-  | Ok { Eth.dst; ethertype; payload; _ } ->
-      if dst <> mac t && dst <> Addr.mac_broadcast then begin
-        t.not_for_us <- t.not_for_us + 1;
-        Dk_obs.Metrics.incr m_not_for_us
-      end
-      else (
-        match ethertype with
-        | Eth.Arp -> handle_arp t payload
-        | Eth.Ipv4 -> (
-            match Ipv4.decode payload with
+  | Ok eth -> (
+      if eth.dst <> mac t && eth.dst <> Addr.mac_broadcast then not_for_us t
+      else
+        match eth.ethertype with
+        | Eth.Arp -> (
+            match Arp.read b eth.off eth.len with
             | Error e -> decode_error t e
-            | Ok { Ipv4.src; dst; proto; payload; _ } ->
-                if dst <> t.ip then begin
-                  t.not_for_us <- t.not_for_us + 1;
-                  Dk_obs.Metrics.incr m_not_for_us
-                end
-                else (
-                  match proto with
-                  | Ipv4.Udp -> handle_udp t ~src_ip:src payload
-                  | Ipv4.Tcp -> handle_tcp t ~src_ip:src payload
-                  | Ipv4.Unknown _ -> decode_error t "ipv4: unknown protocol"))
+            | Ok arp -> handle_arp t arp)
+        | Eth.Ipv4 -> (
+            match Ipv4.read b eth.off eth.len with
+            | Error e -> decode_error t e
+            | Ok ip -> handle_ipv4 t b ip)
         | Eth.Unknown _ -> decode_error t "eth: unknown ethertype")
 
 let rec process t =

@@ -4,7 +4,14 @@
     UDP sockets and TCP connections, driven entirely from user space by
     the simulation event loop (the NIC's rx-notify hook schedules a
     processing step; each processed segment charges
-    [Cost.user_net_per_pkt] of CPU — no syscalls anywhere). *)
+    [Cost.user_net_per_pkt] of CPU — no syscalls anywhere).
+
+    Every frame is one buffer. On transmit it is allocated once at its
+    final size, the payload is copied in once (TCP: straight from the
+    send ring) and each layer writes its header in place. On receive
+    one parser walks the frame by offset, and TCP data goes straight
+    from the frame into the connection's receive ring. Frames cross the
+    NIC as immutable strings. *)
 
 type t
 
@@ -65,6 +72,16 @@ val tcp_connect : t -> dst:Addr.endpoint -> Tcp.conn
 (** Starts the handshake and returns the connection in [Syn_sent];
     observe progress with {!Tcp.set_on_connect} / {!Tcp.set_on_close}.
     A RST from a closed port surfaces as [on_close `Reset]. *)
+
+val tcp_emitter :
+  t -> remote_ip:Addr.ip -> src_port:int -> dst_port:int -> Tcp.emit
+(** The TCP transmit path behind every connection's [emit]: one
+    frame buffer per segment, the payload peeked straight out of the
+    given ring into it, TCP, IPv4 and Ethernet headers written in place
+    around it, then ARP resolution and {!Dk_device.Nic.transmit}. The
+    frame is byte-identical to
+    [Eth.encode (Ipv4.encode (Tcp_wire.encode ...))] of the same
+    segment. *)
 
 val connections : t -> int
 val stats : t -> stats

@@ -79,12 +79,22 @@ let seq_diff a b = (a - b) land seq_mask
 let seq_lt a b = a <> b && seq_diff b a < 0x80000000
 let seq_le a b = a = b || seq_lt a b
 
+type emit =
+  seq:int ->
+  ack_seq:int ->
+  flags:Tcp_wire.flags ->
+  window:int ->
+  Dk_util.Ring.t ->
+  skip:int ->
+  len:int ->
+  unit
+
 type conn = {
   engine : Dk_sim.Engine.t;
   config : config;
   local : Addr.endpoint;
   remote : Addr.endpoint;
-  emit : Tcp_wire.t -> unit;
+  emit : emit;
   mutable st : state;
   (* send side *)
   send_ring : Dk_util.Ring.t; (* unacked + unsent bytes; head = snd_una *)
@@ -149,45 +159,30 @@ let set_internal_teardown t f = t.internal_teardown <- f
 
 let recv_window t = Dk_util.Ring.available t.recv_ring
 
-let emit_seg t ?(payload = "") flags =
+(* Emit one segment at [seq] whose payload is the [len] send-ring
+   bytes starting [skip] past snd_una; the stack copies them straight
+   into the frame. *)
+let emit_at t ~seq ~skip ~len flags =
   t.segs_sent <- t.segs_sent + 1;
   Dk_obs.Metrics.incr m_segs_sent;
-  t.bytes_sent <- t.bytes_sent + String.length payload;
-  t.emit
-    {
-      Tcp_wire.src_port = t.local.Addr.port;
-      dst_port = t.remote.Addr.port;
-      seq = t.snd_nxt;
-      ack_seq = t.rcv_nxt;
-      flags;
-      window = min 0xffff (recv_window t);
-      payload;
-    }
-  [@@hot.alloc
-    "the segment record is the wire representation handed to the \
-     stack's emit"]
+  t.emit ~seq ~ack_seq:t.rcv_nxt ~flags
+    ~window:(min 0xffff (recv_window t))
+    t.send_ring ~skip ~len
 
-(* Emit a segment whose SEQ is not snd_nxt (retransmission). *)
-let emit_at t ~seq ?(payload = "") flags =
-  t.segs_sent <- t.segs_sent + 1;
-  Dk_obs.Metrics.incr m_segs_sent;
-  t.emit
-    {
-      Tcp_wire.src_port = t.local.Addr.port;
-      dst_port = t.remote.Addr.port;
-      seq;
-      ack_seq = t.rcv_nxt;
-      flags;
-      window = min 0xffff (recv_window t);
-      payload;
-    }
-  [@@hot.alloc
-    "the segment record is the wire representation handed to the \
-     stack's emit"]
+(* Emit new data (or a control segment) at snd_nxt. *)
+let emit_seg t ~skip ~len flags =
+  t.bytes_sent <- t.bytes_sent + len;
+  emit_at t ~seq:t.snd_nxt ~skip ~len flags
 
 let ack_flags = { Tcp_wire.no_flags with ack = true }
+let syn_flags = { Tcp_wire.no_flags with syn = true }
+let syn_ack_flags = { Tcp_wire.no_flags with syn = true; ack = true }
+let fin_ack_flags = { Tcp_wire.no_flags with fin = true; ack = true }
+let rst_ack_flags = { Tcp_wire.no_flags with rst = true; ack = true }
 
-let send_ack t = emit_seg t ack_flags
+(* A segment without payload at snd_nxt. *)
+let send_ctl t flags = emit_seg t ~skip:0 ~len:0 flags
+let send_ack t = send_ctl t ack_flags
 
 let cancel_rtx t =
   match t.rtx_timer with
@@ -269,24 +264,18 @@ and on_rto t =
 (* Resend one MSS from snd_una (go-back-N restart). *)
 and retransmit_head t =
   match t.st with
-  | Syn_sent ->
-      emit_at t ~seq:t.snd_una { Tcp_wire.no_flags with syn = true }
-  | Syn_rcvd ->
-      emit_at t ~seq:t.snd_una { Tcp_wire.no_flags with syn = true; ack = true }
+  | Syn_sent -> emit_at t ~seq:t.snd_una ~skip:0 ~len:0 syn_flags
+  | Syn_rcvd -> emit_at t ~seq:t.snd_una ~skip:0 ~len:0 syn_ack_flags
   | _ ->
-      let pending_data = unacked t in
-      let data_bytes = min (min pending_data t.config.mss) pending_data in
-      if data_bytes > 0 then begin
-        let buf = Bytes.create data_bytes in
-        let got = Dk_util.Ring.peek t.send_ring buf 0 data_bytes in
-        let payload = Bytes.sub_string buf 0 got in
-        emit_at t ~seq:t.snd_una ~payload ack_flags
-      end
+      let pending = min (unacked t) t.config.mss in
+      if pending > 0 then
+        (* A FIN in flight counts in [unacked] but holds no ring byte:
+           the resent segment carries only what the ring has. *)
+        emit_at t ~seq:t.snd_una ~skip:0
+          ~len:(min pending (Dk_util.Ring.length t.send_ring))
+          ack_flags
       else if t.fin_sent then
-        emit_at t ~seq:t.fin_seq { ack_flags with fin = true }
-  [@@hot.alloc
-    "loss recovery materializes the resent segment's flags and payload; \
-     it runs on RTO or triple-dup-ACK, not per delivered segment"]
+        emit_at t ~seq:t.fin_seq ~skip:0 ~len:0 fin_ack_flags
 
 (* How many new payload bytes we may put on the wire right now. *)
 let send_allowance t =
@@ -302,22 +291,15 @@ let can_carry_data t =
 
 (* One MSS-or-less segment per round, budget threaded through the
    parameter: the old budget/progress ref pair allocated two cells on
-   every output attempt. *)
+   every output attempt. The bytes to send start [unacked t] into the
+   ring. *)
 let rec output_rounds t budget =
-  let avail = unsent t in
-  let n = min (min avail t.config.mss) budget in
+  let n = min (min (unsent t) t.config.mss) budget in
   if n > 0 then begin
-    let buf = Bytes.create n in
-    (* The bytes to send start [unacked t] into the ring. *)
-    let got = Dk_util.Ring.peek_at t.send_ring (unacked t) buf 0 n in
-    if got = n then begin
-      let payload = Bytes.unsafe_to_string buf in
-      emit_seg t ~payload ack_flags;
-      t.snd_nxt <- seq_add t.snd_nxt n;
-      output_rounds t (budget - n)
-    end
+    emit_seg t ~skip:(unacked t) ~len:n ack_flags;
+    t.snd_nxt <- seq_add t.snd_nxt n;
+    output_rounds t (budget - n)
   end
-  [@@hot.alloc "each emitted segment materializes its payload from the ring"]
 
 (* Transmit as much queued data as windows allow, then the FIN if it is
    due. *)
@@ -332,11 +314,10 @@ and maybe_send_fin t =
   if t.fin_pending && (not t.fin_sent) && unsent t = 0 then begin
     t.fin_sent <- true;
     t.fin_seq <- t.snd_nxt;
-    emit_seg t { ack_flags with fin = true };
+    send_ctl t fin_ack_flags;
     t.snd_nxt <- seq_add t.snd_nxt 1;
     arm_rtx t
   end
-  [@@hot.alloc "the FIN flag record is built at half-close, once per side"]
 
 let make ~engine ~config ~local ~remote ~iss ~emit st =
   {
@@ -381,7 +362,7 @@ let make ~engine ~config ~local ~remote ~iss ~emit st =
 
 let create_active ~engine ~config ~local ~remote ~iss ~emit =
   let t = make ~engine ~config ~local ~remote ~iss ~emit Syn_sent in
-  emit_seg t { Tcp_wire.no_flags with syn = true };
+  send_ctl t syn_flags;
   t.snd_nxt <- seq_add t.snd_nxt 1;
   arm_rtx t;
   t
@@ -389,7 +370,7 @@ let create_active ~engine ~config ~local ~remote ~iss ~emit =
 let create_passive ~engine ~config ~local ~remote ~iss ~emit ~remote_seq =
   let t = make ~engine ~config ~local ~remote ~iss ~emit Syn_rcvd in
   t.rcv_nxt <- seq_add remote_seq 1;
-  emit_seg t { Tcp_wire.no_flags with syn = true; ack = true };
+  send_ctl t syn_ack_flags;
   t.snd_nxt <- seq_add t.snd_nxt 1;
   arm_rtx t;
   t
@@ -414,12 +395,15 @@ let recv_into t buf off len =
      on the next ACK instead of emitting pure window updates. *)
   n
 
+(* The buffer is no longer than what the ring holds, so one read fills
+   it. *)
 let recv t len =
-  let len = min len (recv_ready t) in
-  let buf = Bytes.create len in
-  let n = recv_into t buf 0 len in
-  Bytes.sub_string buf 0 n
-  [@@hot.alloc "recv materializes the requested bytes out of the recv ring"]
+  let buf = Bytes.create (min len (recv_ready t)) in
+  ignore (recv_into t buf 0 (Bytes.length buf));
+  Bytes.unsafe_to_string buf
+  [@@hot.alloc
+    "recv returns the requested bytes as a fresh string: the one copy \
+     out of the recv ring"]
 
 let close t =
   match t.st with
@@ -437,8 +421,7 @@ let close t =
 let abort t =
   (match t.st with
   | Closed | Listen -> ()
-  | _ ->
-      emit_seg t { Tcp_wire.no_flags with rst = true; ack = true });
+  | _ -> send_ctl t rst_ack_flags);
   enter_closed t `Reset
 
 (* ---- segment processing ---- *)
@@ -466,49 +449,51 @@ let rec drain_ooo t =
           (* The segment may partially duplicate delivered data. *)
           let skip = seq_diff t.rcv_nxt seq in
           if skip < String.length payload then begin
-            let fresh = String.sub payload skip (String.length payload - skip) in
-            let n = Dk_util.Ring.write_string t.recv_ring fresh in
+            let n =
+              Dk_util.Ring.write t.recv_ring
+                (Bytes.unsafe_of_string payload)
+                skip
+                (String.length payload - skip)
+            in
             t.rcv_nxt <- seq_add t.rcv_nxt n;
             if n > 0 then advanced := true
           end)
         (List.sort (fun (a, _) (b, _) -> compare (seq_diff a t.rcv_nxt) (seq_diff b t.rcv_nxt)) ready);
       if !advanced then drain_ooo t
 
-let accept_payload t (seg : Tcp_wire.t) =
-  let payload = seg.payload in
-  if String.length payload = 0 then false
+(* Append [len] in-order bytes of [buf] at [off] to the recv ring,
+   straight from the frame; true if any fit. *)
+let deliver t buf off len =
+  let n = Dk_util.Ring.write t.recv_ring buf off len in
+  t.rcv_nxt <- seq_add t.rcv_nxt n;
+  drain_ooo t;
+  n > 0
+
+let accept_payload t (seg : Tcp_wire.view) =
+  let len = seg.len in
+  if len = 0 then false
   else begin
-    t.bytes_received <- t.bytes_received + String.length payload;
-    if seg.seq = t.rcv_nxt then begin
-      let n = Dk_util.Ring.write_string t.recv_ring payload in
-      t.rcv_nxt <- seq_add t.rcv_nxt n;
-      drain_ooo t;
-      n > 0
-    end
+    t.bytes_received <- t.bytes_received + len;
+    if seg.seq = t.rcv_nxt then deliver t seg.buf seg.off len
     else if seq_lt t.rcv_nxt seg.seq then begin
-      (* Future data: stash for reassembly (bounded by window). *)
+      (* Future data: stash a copy for reassembly (bounded by window);
+         the frame itself is not kept. *)
       if seq_diff seg.seq t.rcv_nxt <= t.config.recv_buffer then begin
         t.ooo_count <- t.ooo_count + 1;
         Dk_obs.Metrics.incr m_ooo;
-        t.ooo <- (seg.seq, payload) :: t.ooo
+        t.ooo <- (seg.seq, Bytes.sub_string seg.buf seg.off len) :: t.ooo
       end;
       false
     end
     else begin
       (* Stale/overlapping: deliver any fresh suffix. *)
       let skip = seq_diff t.rcv_nxt seg.seq in
-      if skip < String.length payload then begin
-        let fresh = String.sub payload skip (String.length payload - skip) in
-        let n = Dk_util.Ring.write_string t.recv_ring fresh in
-        t.rcv_nxt <- seq_add t.rcv_nxt n;
-        drain_ooo t;
-        n > 0
-      end
+      if skip < len then deliver t seg.buf (seg.off + skip) (len - skip)
       else false
     end
   end
 
-let process_ack t (seg : Tcp_wire.t) =
+let process_ack t (seg : Tcp_wire.view) =
   if seg.flags.Tcp_wire.ack then begin
     let ack = seg.ack_seq in
     if seq_lt t.snd_una ack && seq_le ack t.snd_nxt then begin
@@ -537,7 +522,7 @@ let process_ack t (seg : Tcp_wire.t) =
          Three in a row trigger fast retransmit (no RTO wait). *)
       if
         ack = t.snd_una
-        && String.length seg.payload = 0
+        && seg.len = 0
         && unacked t > 0
         && not seg.flags.Tcp_wire.syn
         && not seg.flags.Tcp_wire.fin
@@ -567,7 +552,7 @@ let process_ack t (seg : Tcp_wire.t) =
   end
   else false
 
-let segment_arrives t (seg : Tcp_wire.t) =
+let segment_arrives t (seg : Tcp_wire.view) =
   t.segs_received <- t.segs_received + 1;
   Dk_obs.Metrics.incr m_segs_received;
   t.snd_wnd <- seg.window;
@@ -597,17 +582,17 @@ let segment_arrives t (seg : Tcp_wire.t) =
           (* Simultaneous open. *)
           t.rcv_nxt <- seq_add seg.seq 1;
           t.st <- Syn_rcvd;
-          emit_at t ~seq:t.snd_una { Tcp_wire.no_flags with syn = true; ack = true }
+          emit_at t ~seq:t.snd_una ~skip:0 ~len:0 syn_ack_flags
         end
     | Syn_rcvd ->
         if seg.flags.Tcp_wire.syn && not seg.flags.Tcp_wire.ack then
           (* Duplicate SYN: re-answer. *)
-          emit_at t ~seq:t.snd_una { Tcp_wire.no_flags with syn = true; ack = true }
+          emit_at t ~seq:t.snd_una ~skip:0 ~len:0 syn_ack_flags
         else if process_ack t seg then begin
           t.st <- Established;
           t.on_connect ();
           let readable = accept_payload t seg in
-          if String.length seg.payload > 0 then send_ack t;
+          if seg.len > 0 then send_ack t;
           if readable then t.on_readable ();
           try_output t
         end
@@ -623,7 +608,7 @@ let segment_arrives t (seg : Tcp_wire.t) =
            after the segment's payload. A FIN whose slot is beyond
            rcv_nxt (data still missing) is ignored — the peer will
            retransmit it and the gap will have filled by then. *)
-        let fin_pos = seq_add seg.seq (String.length seg.payload) in
+        let fin_pos = seq_add seg.seq seg.len in
         let fin_now =
           seg.flags.Tcp_wire.fin && fin_pos = t.rcv_nxt && t.peer_fin = None
         in
@@ -645,7 +630,7 @@ let segment_arrives t (seg : Tcp_wire.t) =
         else if seg.flags.Tcp_wire.fin && t.peer_fin <> None then
           (* Retransmitted FIN: re-ack so the peer stops. *)
           send_ack t
-        else if String.length seg.payload > 0 then send_ack t;
+        else if seg.len > 0 then send_ack t;
         (* Our FIN fully acked? *)
         if t.fin_sent && t.snd_una = seq_add t.fin_seq 1 then begin
           match t.st with

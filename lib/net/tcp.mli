@@ -7,7 +7,14 @@
     must supply to use a raw kernel-bypass NIC; here the libOS supplies
     it. The module is transport-only: segments enter via
     {!segment_arrives} and leave via the [emit] callback, so it is
-    independently testable without a NIC. *)
+    independently testable without a NIC.
+
+    No segment payload is materialized on either path. An outgoing
+    segment names its payload as a slice of the send ring, which the
+    stack copies straight into the frame; an incoming segment is a
+    {!Tcp_wire.view} of the frame, whose in-order bytes are written
+    straight into the receive ring. Only out-of-order data is copied
+    aside, to wait for the gap to fill. *)
 
 type state =
   | Closed
@@ -40,6 +47,21 @@ type close_reason = [ `Normal | `Reset | `Timeout ]
 
 type conn
 
+type emit =
+  seq:int ->
+  ack_seq:int ->
+  flags:Tcp_wire.flags ->
+  window:int ->
+  Dk_util.Ring.t ->
+  skip:int ->
+  len:int ->
+  unit
+(** How a connection hands a segment to the stack: header fields plus
+    the payload as the [len] bytes of the ring starting [skip] bytes
+    past its oldest byte (the connection's send ring, whose head is
+    snd_una). Ports and addresses are the connection's, bound when the
+    stack creates it. *)
+
 type stats = {
   segs_sent : int;
   segs_received : int;
@@ -59,7 +81,7 @@ val create_active :
   local:Addr.endpoint ->
   remote:Addr.endpoint ->
   iss:int ->
-  emit:(Tcp_wire.t -> unit) ->
+  emit:emit ->
   conn
 (** Sends the SYN immediately (state [Syn_sent]). *)
 
@@ -69,13 +91,14 @@ val create_passive :
   local:Addr.endpoint ->
   remote:Addr.endpoint ->
   iss:int ->
-  emit:(Tcp_wire.t -> unit) ->
+  emit:emit ->
   remote_seq:int ->
   conn
 (** For a SYN that arrived at a listener: replies SYN-ACK
     (state [Syn_rcvd]). *)
 
-val segment_arrives : conn -> Tcp_wire.t -> unit
+val segment_arrives : conn -> Tcp_wire.view -> unit
+(** The view's payload is read before this returns and is not kept. *)
 
 (** {2 Application interface} *)
 
@@ -90,6 +113,8 @@ val send : conn -> string -> int
 val send_space : conn -> int
 val recv_ready : conn -> int
 val recv : conn -> int -> string
+(** [recv t n] consumes up to [n] buffered bytes in one copy. *)
+
 val recv_into : conn -> bytes -> int -> int -> int
 
 val close : conn -> unit

@@ -10,6 +10,18 @@ type t = {
   payload : string;
 }
 
+type view = {
+  src_port : int;
+  dst_port : int;
+  seq : int;
+  ack_seq : int;
+  flags : flags;
+  window : int;
+  buf : bytes;
+  off : int;
+  len : int;
+}
+
 let header_size = 20
 let no_flags = { syn = false; ack = false; fin = false; rst = false }
 
@@ -27,52 +39,70 @@ let flags_of_int v =
     ack = v land 0x10 <> 0;
   }
 
-let encode ~src_ip ~dst_ip t =
-  let len = header_size + String.length t.payload in
-  let b = Bytes.create len in
-  Wire.set_u16 b 0 t.src_port;
-  Wire.set_u16 b 2 t.dst_port;
-  Wire.set_u32 b 4 (t.seq land 0xffffffff);
-  Wire.set_u32 b 8 (t.ack_seq land 0xffffffff);
-  Wire.set_u8 b 12 0x50; (* data offset = 5 words *)
-  Wire.set_u8 b 13 (flags_to_int t.flags);
-  Wire.set_u16 b 14 t.window;
-  Wire.set_u16 b 16 0; (* checksum placeholder *)
-  Wire.set_u16 b 18 0; (* urgent pointer *)
-  Bytes.blit_string t.payload 0 b header_size (String.length t.payload);
+(* Sum of the segment's [len] bytes at [off], folded with the pseudo
+   header: 0 for a segment whose checksum field is right. *)
+let checksum ~src_ip ~dst_ip b off len =
   let pseudo = Ipv4.pseudo_header_sum ~src:src_ip ~dst:dst_ip ~proto:6 ~len in
-  let csum =
-    Dk_util.Checksum.finish
-      (Dk_util.Checksum.ones_complement_sum ~init:pseudo b 0 len)
-  in
-  Wire.set_u16 b 16 csum;
+  Dk_util.Checksum.finish
+    (Dk_util.Checksum.ones_complement_sum ~init:pseudo b off len)
+
+let write b off ~src_ip ~dst_ip ~src_port ~dst_port ~seq ~ack_seq ~flags
+    ~window ~len =
+  Wire.set_u16 b off src_port;
+  Wire.set_u16 b (off + 2) dst_port;
+  Wire.set_u32 b (off + 4) (seq land 0xffffffff);
+  Wire.set_u32 b (off + 8) (ack_seq land 0xffffffff);
+  Wire.set_u8 b (off + 12) 0x50; (* data offset = 5 words *)
+  Wire.set_u8 b (off + 13) (flags_to_int flags);
+  Wire.set_u16 b (off + 14) window;
+  Wire.set_u16 b (off + 16) 0; (* checksum placeholder *)
+  Wire.set_u16 b (off + 18) 0; (* urgent pointer *)
+  Wire.set_u16 b (off + 16) (checksum ~src_ip ~dst_ip b off len)
+
+let read ~src_ip ~dst_ip b off len =
+  if len < header_size then Error "tcp: too short"
+  else if checksum ~src_ip ~dst_ip b off len <> 0 then Error "tcp: bad checksum"
+  else if Wire.get_u8 b (off + 12) lsr 4 <> 5 then
+    Error "tcp: options unsupported"
+  else
+    Ok
+      {
+        src_port = Wire.get_u16 b off;
+        dst_port = Wire.get_u16 b (off + 2);
+        seq = Wire.get_u32 b (off + 4);
+        ack_seq = Wire.get_u32 b (off + 8);
+        flags = flags_of_int (Wire.get_u8 b (off + 13));
+        window = Wire.get_u16 b (off + 14);
+        buf = b;
+        off = off + header_size;
+        len = len - header_size;
+      }
+
+let encode ~src_ip ~dst_ip (t : t) =
+  let n = String.length t.payload in
+  let b = Bytes.create (header_size + n) in
+  Bytes.blit_string t.payload 0 b header_size n;
+  write b 0 ~src_ip ~dst_ip ~src_port:t.src_port ~dst_port:t.dst_port
+    ~seq:t.seq ~ack_seq:t.ack_seq ~flags:t.flags ~window:t.window
+    ~len:(header_size + n);
   Bytes.unsafe_to_string b
 
 let decode ~src_ip ~dst_ip s =
-  if String.length s < header_size then Error "tcp: too short"
-  else
-    let b = Bytes.unsafe_of_string s in
-    let len = String.length s in
-    let pseudo = Ipv4.pseudo_header_sum ~src:src_ip ~dst:dst_ip ~proto:6 ~len in
-    let folded =
-      Dk_util.Checksum.finish
-        (Dk_util.Checksum.ones_complement_sum ~init:pseudo b 0 len)
-    in
-    if folded <> 0 then Error "tcp: bad checksum"
-    else if Wire.get_u8 b 12 lsr 4 <> 5 then Error "tcp: options unsupported"
-    else
+  match read ~src_ip ~dst_ip (Bytes.unsafe_of_string s) 0 (String.length s) with
+  | Error e -> Error e
+  | Ok v ->
       Ok
         {
-          src_port = Wire.get_u16 b 0;
-          dst_port = Wire.get_u16 b 2;
-          seq = Wire.get_u32 b 4;
-          ack_seq = Wire.get_u32 b 8;
-          flags = flags_of_int (Wire.get_u8 b 13);
-          window = Wire.get_u16 b 14;
-          payload = String.sub s header_size (len - header_size);
+          src_port = v.src_port;
+          dst_port = v.dst_port;
+          seq = v.seq;
+          ack_seq = v.ack_seq;
+          flags = v.flags;
+          window = v.window;
+          payload = String.sub s v.off v.len;
         }
 
-let pp ppf t =
+let pp ppf (t : t) =
   let f = t.flags in
   Format.fprintf ppf "tcp %d->%d seq=%d ack=%d%s%s%s%s win=%d len=%d"
     t.src_port t.dst_port t.seq t.ack_seq

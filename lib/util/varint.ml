@@ -24,6 +24,8 @@ let rec read_loop buf len off i shift acc =
     else read_loop buf len off (i + 1) (shift + 7) acc
   [@@hot.alloc "the decoded (value, width) pair is the codec's return surface"]
 
-let read buf off =
-  let len = Bytes.length buf in
-  if off < 0 || off >= len then None else read_loop buf len off off 0 0
+let read_before buf off stop =
+  if stop > Bytes.length buf then invalid_arg "Varint.read_before";
+  if off < 0 || off >= stop then None else read_loop buf stop off off 0 0
+
+let read buf off = read_before buf off (Bytes.length buf)

@@ -11,3 +11,8 @@ val write : Buffer.t -> int -> unit
 val read : bytes -> int -> (int * int) option
 (** [read buf off] decodes a value at [off]; returns [(value, bytes
     consumed)] or [None] if the buffer ends mid-encoding. *)
+
+val read_before : bytes -> int -> int -> (int * int) option
+(** [read_before buf off stop] is {!read} on the bytes before [stop]:
+    [None] if the encoding does not end before [stop].
+    @raise Invalid_argument if [stop > Bytes.length buf]. *)

@@ -156,6 +156,300 @@ let codec_roundtrip_prop =
               | Error _ -> false
               | Ok u -> String.equal u.Udp.payload payload)))
 
+(* ---------------- In-place frames ---------------- *)
+
+(* One stack on a NIC whose uplink records every frame it sends, with
+   the peer's MAC already learned (a gratuitous ARP reply), so
+   transmits go straight out. *)
+type probe = {
+  p_engine : Engine.t;
+  p_stack : Stack.t;
+  p_nic : Nic.t;
+  sent : string list ref;  (* newest first *)
+}
+
+let self_mac = Addr.mac_of_index 1
+let peer_mac = Addr.mac_of_index 2
+let self_ip = ip "10.0.0.1"
+let peer_ip = ip "10.0.0.2"
+
+let probe_host () =
+  let engine = Engine.create () in
+  let nic = Nic.create ~engine ~cost ~mac:self_mac () in
+  let sent = ref [] in
+  Nic.set_uplink nic (fun ~src:_ ~dst:_ ~departed:_ frame -> sent := frame :: !sent);
+  let stack = Stack.create ~engine ~cost ~nic ~ip:self_ip () in
+  Nic.receive nic
+    (Eth.encode
+       { Eth.dst = self_mac; src = peer_mac; ethertype = Eth.Arp;
+         payload =
+           Arp.encode
+             { Arp.op = Arp.Reply; sender_mac = peer_mac; sender_ip = peer_ip;
+               target_mac = self_mac; target_ip = self_ip } });
+  Engine.run engine;
+  { p_engine = engine; p_stack = stack; p_nic = nic; sent }
+
+(* The same segment through the record codecs, as ident [ident] of an
+   IPv4 packet from [src] to [dst]. *)
+let record_frame ~src_mac ~dst_mac ~src_ip ~dst_ip ~ident seg =
+  Eth.encode
+    { Eth.dst = dst_mac; src = src_mac; ethertype = Eth.Ipv4;
+      payload =
+        Ipv4.encode
+          { Ipv4.src = src_ip; dst = dst_ip; proto = Ipv4.Tcp; ttl = 64; ident;
+            payload = Tcp_wire.encode ~src_ip ~dst_ip seg } }
+
+let flags_of_bits b =
+  { Tcp_wire.fin = b land 1 <> 0; syn = b land 2 <> 0; rst = b land 4 <> 0;
+    ack = b land 8 <> 0 }
+
+let ring_capacity = 2048
+
+(* A 32-bit sequence number, half the time within 100 of wrapping. *)
+let gen_seq =
+  QCheck.Gen.(
+    oneof [ int_bound 0xffffffff; map (fun d -> 0xffffffff - d) (int_bound 100) ])
+
+type emitted = {
+  e_sport : int;
+  e_dport : int;
+  e_seq : int;
+  e_ack : int;
+  e_flags : int;
+  e_window : int;
+  e_payload : string;
+  e_head : int;  (* where the ring's oldest byte sits *)
+  e_skip : int;  (* payload offset past the oldest byte *)
+}
+
+let gen_emitted =
+  QCheck.Gen.(
+    let* e_sport = int_bound 0xffff and* e_dport = int_bound 0xffff in
+    let* e_seq = gen_seq and* e_ack = gen_seq in
+    let* e_flags = int_bound 15 and* e_window = int_bound 0xffff in
+    let* e_payload = string_size (int_bound Tcp.default_config.Tcp.mss) in
+    let* e_head = int_bound (ring_capacity - 1) in
+    let+ e_skip = int_bound (ring_capacity - String.length e_payload) in
+    { e_sport; e_dport; e_seq; e_ack; e_flags; e_window; e_payload; e_head;
+      e_skip })
+
+let print_emitted e =
+  Printf.sprintf "ports %d->%d seq %d ack %d flags %d win %d len %d head %d skip %d"
+    e.e_sport e.e_dport e.e_seq e.e_ack e.e_flags e.e_window
+    (String.length e.e_payload) e.e_head e.e_skip
+
+let inplace_frame_prop =
+  QCheck.Test.make ~name:"in-place tcp frame equals the record codecs" ~count:300
+    (QCheck.make ~print:print_emitted gen_emitted)
+    (fun e ->
+      let p = probe_host () in
+      (* Rotate the ring so its oldest byte sits at [e_head]; then the
+         payload, [e_skip] bytes in, wraps whenever it crosses the
+         end. *)
+      let ring = Dk_util.Ring.create ring_capacity in
+      ignore (Dk_util.Ring.write_string ring (String.make e.e_head 'h'));
+      ignore (Dk_util.Ring.drop ring e.e_head);
+      ignore (Dk_util.Ring.write_string ring (String.make e.e_skip 's'));
+      ignore (Dk_util.Ring.write_string ring e.e_payload);
+      let len = String.length e.e_payload in
+      let flags = flags_of_bits e.e_flags in
+      Stack.tcp_emitter p.p_stack ~remote_ip:peer_ip ~src_port:e.e_sport
+        ~dst_port:e.e_dport ~seq:e.e_seq ~ack_seq:e.e_ack ~flags
+        ~window:e.e_window ring ~skip:e.e_skip ~len;
+      Engine.run p.p_engine;
+      let expected =
+        record_frame ~src_mac:self_mac ~dst_mac:peer_mac ~src_ip:self_ip
+          ~dst_ip:peer_ip ~ident:1
+          { Tcp_wire.src_port = e.e_sport; dst_port = e.e_dport; seq = e.e_seq;
+            ack_seq = e.e_ack; flags; window = e.e_window;
+            payload = e.e_payload }
+      in
+      !(p.sent) = [ expected ])
+
+(* What the record decoders make of a frame arriving at [self]: the
+   first layer's error, not-for-us, or a segment. *)
+let record_outcome frame =
+  match Eth.decode frame with
+  | Error e -> `Error e
+  | Ok eth when eth.Eth.dst <> self_mac && eth.Eth.dst <> Addr.mac_broadcast ->
+      `Not_for_us
+  | Ok eth -> (
+      match eth.Eth.ethertype with
+      | Eth.Unknown _ -> `Error "eth: unknown ethertype"
+      | Eth.Arp -> (
+          match Arp.decode eth.Eth.payload with Error e -> `Error e | Ok _ -> `Ok)
+      | Eth.Ipv4 -> (
+          match Ipv4.decode eth.Eth.payload with
+          | Error e -> `Error e
+          | Ok i when i.Ipv4.dst <> self_ip -> `Not_for_us
+          | Ok i -> (
+              let src_ip = i.Ipv4.src and dst_ip = self_ip in
+              match i.Ipv4.proto with
+              | Ipv4.Unknown _ -> `Error "ipv4: unknown protocol"
+              | Ipv4.Udp -> (
+                  match Udp.decode ~src_ip ~dst_ip i.Ipv4.payload with
+                  | Error e -> `Error e
+                  | Ok _ -> `Ok)
+              | Ipv4.Tcp -> (
+                  match Tcp_wire.decode ~src_ip ~dst_ip i.Ipv4.payload with
+                  | Error e -> `Error e
+                  | Ok _ -> `Ok))))
+
+let mentions_checksum msg =
+  let p = "checksum" in
+  let n = String.length msg and k = String.length p in
+  let rec at i = i + k <= n && (String.sub msg i k = p || at (i + 1)) in
+  at 0
+
+let ends_with ~suffix s =
+  let n = String.length s and k = String.length suffix in
+  n >= k && String.sub s (n - k) k = suffix
+
+(* A valid data segment from the peer to [self]'s port 9 (no listener). *)
+let inbound_frame payload =
+  record_frame ~src_mac:peer_mac ~dst_mac:self_mac ~src_ip:peer_ip ~dst_ip:self_ip
+    ~ident:7
+    { Tcp_wire.src_port = 40000; dst_port = 9; seq = 1000; ack_seq = 2000;
+      flags = { Tcp_wire.no_flags with ack = true }; window = 512; payload }
+
+let set_ip_total frame total =
+  let b = Bytes.of_string frame in
+  let ip_off = Eth.header_size in
+  Bytes.set_uint16_be b (ip_off + 2) total;
+  Bytes.set_uint16_be b (ip_off + 10) 0;
+  Bytes.set_uint16_be b (ip_off + 10)
+    (Dk_util.Checksum.compute b ip_off Ipv4.header_size);
+  Bytes.to_string b
+
+type damage = Truncate of int | Version of int | Total of int | Flip of int
+
+let damage frame = function
+  | Truncate n -> String.sub frame 0 (n mod String.length frame)
+  | Version v ->
+      let b = Bytes.of_string frame in
+      Bytes.set b Eth.header_size (Char.chr (if v = 0x45 then 0x46 else v));
+      Bytes.to_string b
+  | Total t -> set_ip_total frame t
+  | Flip bit ->
+      let b = Bytes.of_string frame in
+      let i = bit / 8 mod Bytes.length b in
+      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl (bit land 7))));
+      Bytes.to_string b
+
+let gen_damage =
+  QCheck.Gen.(
+    let* payload_len = int_bound 200 in
+    let+ d =
+      oneof
+        [
+          map (fun n -> Truncate n) (int_bound 300);
+          map (fun v -> Version v) (int_bound 0xff);
+          (* past the frame's end, or shorter than the header *)
+          map (fun t -> Total t)
+            (oneof [ int_range 255 0xffff; int_bound (Ipv4.header_size - 1) ]);
+          map (fun b -> Flip b) (int_bound 100_000);
+        ]
+    in
+    (payload_len, d))
+
+let print_damage (n, d) =
+  Printf.sprintf "payload %d, %s" n
+    (match d with
+    | Truncate k -> Printf.sprintf "truncate %d" k
+    | Version v -> Printf.sprintf "version 0x%02x" v
+    | Total t -> Printf.sprintf "total %d" t
+    | Flip b -> Printf.sprintf "flip bit %d" b)
+
+let m_checksum_failures = Dk_obs.Metrics.counter "net.stack.checksum_failures"
+
+let damaged_frame_prop =
+  QCheck.Test.make
+    ~name:"stack parser rejects damaged frames like the record decoders"
+    ~count:400
+    (QCheck.make ~print:print_damage gen_damage)
+    (fun (payload_len, d) ->
+      let frame = damage (inbound_frame (String.make payload_len 'd')) d in
+      let p = probe_host () in
+      let before = Stack.stats p.p_stack in
+      let csum_before = Dk_obs.Metrics.value m_checksum_failures in
+      Nic.receive p.p_nic frame;
+      Engine.run p.p_engine;
+      let after = Stack.stats p.p_stack in
+      let decode_errors = after.Stack.decode_errors - before.Stack.decode_errors in
+      let not_for_us = after.Stack.not_for_us - before.Stack.not_for_us in
+      let csum = Dk_obs.Metrics.value m_checksum_failures - csum_before in
+      match record_outcome frame with
+      | `Error msg ->
+          let flight_names_it =
+            (not (mentions_checksum msg))
+            ||
+            match List.rev (Dk_obs.Flight.entries Dk_obs.Flight.default) with
+            | last :: _ -> ends_with ~suffix:(": " ^ msg) last.Dk_obs.Flight.what
+            | [] -> false
+          in
+          decode_errors = 1 && not_for_us = 0
+          && csum = (if mentions_checksum msg then 1 else 0)
+          && flight_names_it
+      | `Not_for_us -> decode_errors = 0 && not_for_us = 1 && csum = 0
+      | `Ok -> decode_errors = 0 && not_for_us = 0 && csum = 0)
+
+(* Each named kind of damage meets the decoder that names it. *)
+let damaged_frame_kinds () =
+  let frame = inbound_frame "0123456789" in
+  let expect what d msg =
+    match record_outcome (damage frame d) with
+    | `Error e -> check_str what msg e
+    | `Not_for_us | `Ok -> Alcotest.fail (what ^ ": accepted")
+  in
+  expect "eth truncated" (Truncate 10) "eth: frame too short";
+  expect "ipv4 truncated" (Truncate 20) "ipv4: too short";
+  expect "ipv4 cut inside the segment" (Truncate 60) "ipv4: bad total length";
+  expect "ipv4 version" (Version 0x46) "ipv4: bad version/ihl";
+  expect "ipv4 total too long" (Total 1000) "ipv4: bad total length";
+  expect "ipv4 total too short" (Total 19) "ipv4: bad total length";
+  expect "ipv4 header flip" (Flip ((Eth.header_size + 8) * 8)) "ipv4: bad header checksum";
+  expect "tcp payload flip" (Flip ((String.length frame - 1) * 8)) "tcp: bad checksum";
+  expect "tcp truncated"
+    (Total (Ipv4.header_size + Tcp_wire.header_size - 1))
+    "tcp: too short"
+
+(* A data segment to a dead port is answered by an RST that acks the
+   segment's payload and one more. *)
+let rst_acks_payload () =
+  let p = probe_host () in
+  let payload = String.make 100 'x' in
+  let seq = 0xffffffff - 40 in
+  Nic.receive p.p_nic
+    (record_frame ~src_mac:peer_mac ~dst_mac:self_mac ~src_ip:peer_ip
+       ~dst_ip:self_ip ~ident:3
+       { Tcp_wire.src_port = 40000; dst_port = 81; seq; ack_seq = 777;
+         flags = { Tcp_wire.no_flags with ack = true }; window = 512; payload });
+  Engine.run p.p_engine;
+  check_int "no listener" 1 (Stack.stats p.p_stack).Stack.no_listener;
+  match !(p.sent) with
+  | [ frame ] -> (
+      match Eth.decode frame with
+      | Error e -> Alcotest.fail e
+      | Ok eth -> (
+          match Ipv4.decode eth.Eth.payload with
+          | Error e -> Alcotest.fail e
+          | Ok i -> (
+              match
+                Tcp_wire.decode ~src_ip:self_ip ~dst_ip:peer_ip i.Ipv4.payload
+              with
+              | Error e -> Alcotest.fail e
+              | Ok rst ->
+                  check_bool "rst" true rst.Tcp_wire.flags.Tcp_wire.rst;
+                  check_bool "ack" true rst.Tcp_wire.flags.Tcp_wire.ack;
+                  check_int "seq is the segment's ack" 777 rst.Tcp_wire.seq;
+                  check_int "ack covers the payload"
+                    ((seq + String.length payload + 1) land 0xffffffff)
+                    rst.Tcp_wire.ack_seq;
+                  check_int "src port" 81 rst.Tcp_wire.src_port;
+                  check_int "dst port" 40000 rst.Tcp_wire.dst_port;
+                  check_str "no payload" "" rst.Tcp_wire.payload)))
+  | frames -> Alcotest.failf "expected one RST, saw %d frames" (List.length frames)
+
 (* ---------------- Two-host harness ---------------- *)
 
 type host = { stack : Stack.t; addr : Addr.ip }
@@ -690,6 +984,41 @@ let framing_roundtrip_prop =
       done;
       List.rev !out = messages)
 
+(* Every complete message the decoder holds, in order. *)
+let rec drain_messages d acc =
+  match Framing.next d with
+  | Some m -> drain_messages d (m :: acc)
+  | None -> List.rev acc
+
+(* Segments up to a few MSS long, so chunked feeds both grow the
+   decoder's buffer and leave partial messages behind in it. *)
+let framing_chunks_prop =
+  QCheck.Test.make ~name:"framing chunked feed decodes like one whole feed"
+    ~count:200
+    QCheck.(
+      triple
+        (list_of_size Gen.(1 -- 8)
+           (list_of_size Gen.(0 -- 3) (string_of_size Gen.(0 -- 5000))))
+        (int_range 1 3000) (int_bound 1000))
+    (fun (messages, max_chunk, seed) ->
+      let stream = String.concat "" (List.map Framing.encode messages) in
+      let whole = Framing.create () in
+      Framing.feed whole stream;
+      let expected = drain_messages whole [] in
+      let rng = Dk_sim.Rng.create (Int64.of_int seed) in
+      let d = Framing.create () in
+      let rec go pos acc =
+        if pos >= String.length stream then List.rev acc
+        else begin
+          let n = min (1 + Dk_sim.Rng.int rng max_chunk) (String.length stream - pos) in
+          Framing.feed d (String.sub stream pos n);
+          go (pos + n) (List.rev_append (drain_messages d []) acc)
+        end
+      in
+      let got = go 0 [] in
+      expected = messages && got = expected && Framing.buffered d = 0
+      && Framing.buffered whole = 0)
+
 let qsuite name tests = (name, List.map QCheck_alcotest.to_alcotest tests)
 
 let () =
@@ -712,6 +1041,12 @@ let () =
           Alcotest.test_case "tcp_wire roundtrip" `Quick tcp_wire_roundtrip;
         ] );
       qsuite "codec-props" [ codec_roundtrip_prop ];
+      qsuite "frame-props" [ inplace_frame_prop; damaged_frame_prop ];
+      ( "frames",
+        [
+          Alcotest.test_case "damage kinds" `Quick damaged_frame_kinds;
+          Alcotest.test_case "rst acks payload" `Quick rst_acks_payload;
+        ] );
       ( "udp",
         [
           Alcotest.test_case "end to end" `Quick udp_end_to_end;
@@ -745,5 +1080,5 @@ let () =
           Alcotest.test_case "back to back" `Quick framing_back_to_back;
           Alcotest.test_case "empty segments" `Quick framing_empty_segments;
         ] );
-      qsuite "framing-props" [ framing_roundtrip_prop ];
+      qsuite "framing-props" [ framing_roundtrip_prop; framing_chunks_prop ];
     ]

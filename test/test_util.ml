@@ -212,6 +212,41 @@ let checksum_verify_prop =
       Bytes.set whole (Bytes.length data + 1) (Char.chr (c land 0xff));
       Checksum.verify whole 0 (Bytes.length whole))
 
+(* The byte-at-a-time sum the word loop replaced: high byte, then low
+   byte, of each big-endian 16-bit word; an odd tail byte is padded
+   with zero. *)
+let reference_sum ~init buf off len =
+  let acc = ref init in
+  for i = 0 to len - 1 do
+    let byte = Char.code (Bytes.get buf (off + i)) in
+    acc := !acc + if i land 1 = 0 then byte lsl 8 else byte
+  done;
+  !acc
+
+(* The wide loads change the partial sum's value but not its class
+   modulo 0xffff nor whether it is zero, so every folded checksum is the
+   byte-at-a-time one. *)
+let checksum_reference_prop =
+  QCheck.Test.make
+    ~name:"word-load sum folds like the byte-at-a-time sum" ~count:1000
+    QCheck.(
+      quad (string_of_size Gen.(0 -- 300)) small_nat small_nat
+        (int_bound 0x3ffff))
+    (fun (s, a, b, init) ->
+      let buf = Bytes.of_string s in
+      let n = Bytes.length buf in
+      let off = a mod (n + 1) in
+      let len = b mod (n - off + 1) in
+      let fast = Checksum.ones_complement_sum ~init buf off len in
+      let slow = reference_sum ~init buf off len in
+      fast mod 0xffff = slow mod 0xffff
+      && (fast = 0) = (slow = 0)
+      && Checksum.finish fast = Checksum.finish slow
+      && Checksum.compute buf off len
+         = Checksum.finish (reference_sum ~init:0 buf off len)
+      && Checksum.verify buf off len
+         = (Checksum.finish (reference_sum ~init:0 buf off len) = 0))
+
 (* ---------------- Crc32 ---------------- *)
 
 let crc32_known () =
@@ -247,7 +282,13 @@ let varint_known () =
 let varint_truncated () =
   check_bool "incomplete returns None" true
     (Varint.read (Bytes.of_string "\x80") 0 = None);
-  check_bool "empty returns None" true (Varint.read (Bytes.of_string "") 0 = None)
+  check_bool "empty returns None" true (Varint.read (Bytes.of_string "") 0 = None);
+  (* A complete encoding that ends at or past [stop] is not seen. *)
+  let b = Bytes.of_string "\xac\x02\x05" in
+  check_bool "read_before sees the bytes before stop" true
+    (Varint.read_before b 0 3 = Some (300, 2));
+  check_bool "read_before stops short" true (Varint.read_before b 0 1 = None);
+  check_bool "read_before at stop" true (Varint.read_before b 2 2 = None)
 
 let varint_roundtrip =
   QCheck.Test.make ~name:"varint roundtrip" ~count:500
@@ -307,7 +348,7 @@ let () =
           Alcotest.test_case "verify roundtrip" `Quick checksum_verify_roundtrip;
           Alcotest.test_case "odd length" `Quick checksum_odd_length;
         ] );
-      qsuite "checksum-props" [ checksum_verify_prop ];
+      qsuite "checksum-props" [ checksum_verify_prop; checksum_reference_prop ];
       ( "crc32",
         [
           Alcotest.test_case "known vectors" `Quick crc32_known;

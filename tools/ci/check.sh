@@ -36,6 +36,12 @@
 #             tables and fail on >25% regression against the committed
 #             baselines (virtual-time columns at DK_BENCH_MAX_RATIO,
 #             latency percentiles at DK_BENCH_PCTL_MAX_RATIO)
+#   perf      tools/ci/perf_gate.py — run the repository benchmark
+#             (perfbench, all four workloads, seed 1, 1 s each) and
+#             fail when minor words/op, peak heap or any virtual-time
+#             metric is worse than tools/ci/baselines/perfbench-seed1.json
+#             by more than its BENCHMARK.json bound; wall-clock metrics
+#             are printed, not gated
 #   all       build + test + scenario + offload + sanitize, plus
 #             fault when DK_FAULT_CI is set (the source analysis runs
 #             once, inside test)
@@ -88,6 +94,11 @@ run_bench() {
   tools/ci/bench_diff.sh
 }
 
+run_perf() {
+  echo "== [perf] tools/ci/perf_gate.py"
+  python3 tools/ci/perf_gate.py
+}
+
 case "$stage" in
   build)    run_build ;;
   test)     run_test ;;
@@ -97,6 +108,7 @@ case "$stage" in
   scenario) run_scenario ;;
   offload)  run_offload ;;
   bench)    run_bench ;;
+  perf)     run_perf ;;
   all)
     run_build
     run_test
@@ -108,7 +120,7 @@ case "$stage" in
     fi
     ;;
   *)
-    echo "usage: $0 [build|test|sanitize|lint|fault|scenario|offload|bench|all]" >&2
+    echo "usage: $0 [build|test|sanitize|lint|fault|scenario|offload|bench|perf|all]" >&2
     exit 2
     ;;
 esac
